@@ -325,7 +325,14 @@ def build_aggregation_witness(tree: StateTree, agg_index: int, votes, request_id
         raise WrongVoteCount(f"need exactly {t} votes, got {len(votes)}")
     if any(v.block_hash != block_hash for v in votes):
         raise MixedVotes("all packaged votes must claim the submitted block hash")
+    return _stage_aggregation(tree, agg_index, votes, request_id, block_hash,
+                              agg_reward, val_reward, seed, aggregator_secret)
 
+
+def _stage_aggregation(tree, agg_index, votes, request_id, block_hash, agg_reward,
+                       val_reward, seed=None, aggregator_secret=None):
+    """The staging half of build_aggregation_witness, without its guards, so
+    the brute-force soundness check can package votes the circuit must reject."""
     work = tree.copy()
     pre_root = work.root
 

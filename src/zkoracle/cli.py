@@ -11,11 +11,11 @@ from pathlib import Path
 
 from . import circuits, eddsa
 from .circuits import AGGREGATION, SLASH, check_aggregation, check_slash
-from .contract import Params, dump_log, parse_log, replay
+from .contract import Params, conservation_trace, dump_log, parse_log, replay
 from .errors import ConfigError, CorruptLog, InvalidProof, OracleError
 from .merkle import Account, StateTree, dump_snapshot, load_snapshot
 from .nodes import make_vote
-from .selfcheck import aggregation_brute_force, conservation_suite, conservation_trace
+from .selfcheck import aggregation_brute_force, conservation_suite
 from .simnet import ScenarioConfig, run_scenario, verify_run
 
 SCALING_HEADER = ("committee,depth,threshold,aggregation_constraints,"

@@ -1,9 +1,9 @@
 """Deterministic emulation of the on-chain oracle contract.
 
-One transaction mutates state at a time, blockchain-style.  Every state
-change appends an event carrying enough payload to replay it, so replaying
-the log from genesis reconstructs the full contract state; off-chain nodes
-sync their local trees from the same records.
+The contract is event-sourced: a transaction validates its input and hands
+the event recording it to the one reducer, `Contract._apply`, and replay
+feeds logged events to the same reducer.  The tree part of every event is
+`apply_event_to_tree`, which off-chain nodes also sync with.
 
 The contract keeps a private hash tree (as the real contract does for the
 membership operations) but external state changes arriving via submit/slash
@@ -11,6 +11,7 @@ are accepted only if the claimed post root matches the canonical update
 implied by the public inputs; that is what keeps the event log replayable.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -21,7 +22,7 @@ from .curve import Point
 from .errors import (AlreadyExiting, AlreadySlashed, CommitteeFull, CorruptLog,
                      ExitTimeNotReached, FeeTooLow, InsufficientStake, InvalidInput,
                      InvalidProof, NoCommittee, NotAggregator, NotExiting, NotOwner,
-                     RequestNotPending, RequestPending, StakeTooLow)
+                     OracleError, RequestNotPending, RequestPending, StakeTooLow)
 from .merkle import (Account, MerkleProof, StateTree, empty_account, leaf_hash,
                      proof_index, verify_proof)
 from .mimc import mimc_hash
@@ -56,6 +57,7 @@ class Params:
 
     @property
     def request_fee(self) -> int:
+        """The minimum fee, which is exactly what one submission pays out."""
         return self.agg_reward + self.threshold * self.val_reward
 
 
@@ -68,6 +70,7 @@ class Request:
     status: str = PENDING
     answer_hash: Optional[int] = None
     validator_bits: Optional[int] = None
+    agg_index: Optional[int] = None  # the aggregator that answered
 
 
 @dataclass(frozen=True)
@@ -155,37 +158,27 @@ class Contract:
     # -- membership transactions -----------------------------------------
 
     def register(self, caller: str, pubkey: Point, ip: str, stake: int) -> int:
+        _check_log_tokens(owner=caller, ip=ip)
         if stake < self.params.min_stake:
             raise InsufficientStake(f"stake {stake} below minimum {self.params.min_stake}")
-        self._check_stake_bound(stake)
-        curve.require_on_curve(pubkey)
         index = self._lowest_empty_index()
         if index is None:
             raise CommitteeFull("all leaves occupied; a newcomer must replace")
-        self._tree.set_account(index, Account(index, pubkey, stake))
-        self.owner_of[index] = caller
-        self.ip_of[index] = ip
         self._emit(REGISTERED, index=index, owner=caller, ip=ip,
                    pubkey_x=pubkey.x, pubkey_y=pubkey.y, stake=stake)
         return index
 
     def replace(self, caller: str, pubkey: Point, ip: str, stake: int,
                 target_index: int, target_account: Account, proof: MerkleProof) -> int:
-        self._check_stake_bound(stake)
-        curve.require_on_curve(pubkey)
+        _check_log_tokens(owner=caller, ip=ip)
         self._check_account_proof(target_index, target_account, proof)
         if stake <= target_account.balance:
             raise StakeTooLow(f"stake {stake} must exceed target balance "
                               f"{target_account.balance}")
-        displaced_owner = self.owner_of.get(target_index, "")
-        returned = target_account.balance
-        self._tree.set_account(target_index, Account(target_index, pubkey, stake))
-        self.owner_of[target_index] = caller
-        self.ip_of[target_index] = ip
-        self.exit_time_of.pop(target_index, None)
         self._emit(REPLACED, index=target_index, owner=caller, ip=ip,
                    pubkey_x=pubkey.x, pubkey_y=pubkey.y, stake=stake,
-                   displaced_owner=displaced_owner, returned=returned)
+                   displaced_owner=self.owner_of.get(target_index, ""),
+                   returned=target_account.balance)
         return target_index
 
     def exit(self, caller: str, account: Account, proof: MerkleProof) -> float:
@@ -196,7 +189,6 @@ class Contract:
             raise AlreadyExiting(f"index {index} already announced an exit")
         self._check_account_proof(index, account, proof)
         exit_time = self.now + self.params.exit_delay
-        self.exit_time_of[index] = exit_time
         self._emit(EXITED, index=index, exit_time=exit_time)
         return exit_time
 
@@ -210,23 +202,16 @@ class Contract:
             raise ExitTimeNotReached(
                 f"now {self.now} before exit time {self.exit_time_of[index]}")
         self._check_account_proof(index, account, proof)
-        amount = account.balance
-        self._tree.set_account(index, empty_account(index))
-        self.owner_of.pop(index)
-        self.ip_of.pop(index)
-        self.exit_time_of.pop(index)
-        self._emit(WITHDRAWN, index=index, owner=caller, amount=amount)
-        return amount
+        self._emit(WITHDRAWN, index=index, owner=caller, amount=account.balance)
+        return account.balance
 
     # -- request lifecycle -------------------------------------------------
 
     def request_block(self, client: str, block_number: int, fee: int) -> int:
+        _check_log_tokens(client=client)
         if fee < self.params.request_fee:
             raise FeeTooLow(f"fee {fee} below required {self.params.request_fee}")
         request_id = self.next_request_id
-        self.next_request_id += 1
-        self.requests[request_id] = Request(request_id, block_number, fee, client)
-        self.escrow += fee
         self._emit(BLOCK_REQUESTED, request_id=request_id, block_number=block_number,
                    fee=fee, client=client)
         return request_id
@@ -237,79 +222,158 @@ class Contract:
         agg_index = self.get_aggregator()
         if self.owner_of.get(agg_index) != caller:
             raise NotAggregator(f"{caller} is not the current aggregator")
-        request = self.requests.get(request_id)
-        if request is None or request.status != PENDING:
-            raise RequestNotPending(f"request {request_id} is not pending")
-        if self.params.aggregator_mode == RANDOMIZED and next_seed is None:
+        self._pending(request_id)
+        randomized = self.params.aggregator_mode == RANDOMIZED
+        if randomized and next_seed is None:
             raise InvalidProof("randomized rotation requires the next seed point")
 
         public = AggregationPublic(self.state_root, post_state_root, block_hash,
                                    request_id, validator_bits,
-                                   seed=self._public_seed(), next_seed=next_seed)
+                                   seed=self.seed_point if randomized else None,
+                                   next_seed=next_seed)
         if not self.backend.verify(AGGREGATION, public, proof):
             raise InvalidProof("aggregation proof rejected")
 
-        rewards = self.params.agg_reward + self.params.threshold * self.params.val_reward
-        if self.escrow < rewards:
-            raise InvalidInput("escrow cannot cover the submission rewards")
+        seed = dict(seed_x=next_seed.x, seed_y=next_seed.y) if randomized else {}
+        self._emit(BLOCK_SUBMITTED, request_id=request_id, agg_index=agg_index,
+                   block_hash=block_hash, validator_bits=validator_bits,
+                   post_state_root=post_state_root, **seed)
 
-        self._apply_rewards(agg_index, validator_bits, post_state_root)
-        self.escrow -= rewards
-        request.status = ANSWERED
-        request.answer_hash = block_hash
-        request.validator_bits = validator_bits
-        self.aggregator_cursor = (agg_index + 1) % self.params.capacity
-        payload = dict(request_id=request_id, agg_index=agg_index,
-                       block_hash=block_hash, validator_bits=validator_bits,
-                       post_state_root=post_state_root)
-        if self.params.aggregator_mode == RANDOMIZED:
-            self.seed_point = next_seed
-            self.timeout_count = 0
-            payload.update(seed_x=next_seed.x, seed_y=next_seed.y)
-        self._emit(BLOCK_SUBMITTED, **payload)
-
-    def slash(self, caller: str, request_id: int, agg_index: int, val_index: int,
+    def slash(self, caller: str, request_id: int, val_index: int,
               post_state_root: int, proof: Proof) -> None:
+        """Only the aggregator that answered the request may slash a dissenter
+        of it, and the victim's stake goes to that aggregator."""
+        request = self._slashable(request_id, val_index)
+        if self.owner_of.get(request.agg_index) != caller:
+            raise NotAggregator(f"{caller} is not the aggregator that answered "
+                                f"request {request_id}")
+        public = SlashPublic(self.state_root, post_state_root, request.answer_hash,
+                             request_id, request.agg_index, val_index)
+        if not self.backend.verify(SLASH, public, proof):
+            raise InvalidProof("slash proof rejected")
+        self._emit(SLASHED, request_id=request_id, agg_index=request.agg_index,
+                   val_index=val_index, post_state_root=post_state_root)
+
+    def timeout_aggregator(self) -> int:
+        """Rotate past an unresponsive aggregator; driven by the network layer."""
+        skipped = self.get_aggregator()
+        self._emit(AGGREGATOR_TIMEOUT, index=skipped)
+        return skipped
+
+    # -- the reducer -------------------------------------------------------
+
+    def _apply(self, event: Event) -> None:
+        """Fold one event into the state; the only writer of contract state
+        after __init__.  Every check runs before the first write and a
+        proof-gated tree update is swapped in only once it reaches the
+        event's post root, so an event that raises leaves the state as it was.
+        """
+        p = event.payload
+        kind = event.kind
+        params = self.params
+        if kind in (REGISTERED, REPLACED):
+            curve.require_on_curve(Point(p["pubkey_x"], p["pubkey_y"]))
+            if not 0 <= p["stake"] < MAX_BALANCE:
+                raise InvalidInput(f"stake {p['stake']} outside [0, 2^128)")
+            apply_event_to_tree(self._tree, event, params.agg_reward, params.val_reward)
+            self.owner_of[p["index"]] = p["owner"]
+            self.ip_of[p["index"]] = p["ip"]
+            self.exit_time_of.pop(p["index"], None)
+        elif kind == EXITED:
+            self._require_member(p["index"])
+            self.exit_time_of[p["index"]] = p["exit_time"]
+        elif kind == WITHDRAWN:
+            self._require_member(p["index"])
+            apply_event_to_tree(self._tree, event, params.agg_reward, params.val_reward)
+            del self.owner_of[p["index"]]
+            del self.ip_of[p["index"]]
+            self.exit_time_of.pop(p["index"], None)
+        elif kind == BLOCK_REQUESTED:
+            if p["request_id"] != self.next_request_id:
+                raise InvalidInput(f"request id {p['request_id']} out of order")
+            self.requests[p["request_id"]] = Request(
+                p["request_id"], p["block_number"], p["fee"], p["client"])
+            self.next_request_id += 1
+            self.escrow += p["fee"]
+        elif kind == BLOCK_SUBMITTED:
+            request = self._pending(p["request_id"])
+            if p["agg_index"] != self.get_aggregator():
+                raise NotAggregator(f"index {p['agg_index']} is not the aggregator")
+            voters = flagged_indices(p["validator_bits"])
+            if p["validator_bits"] < 0 or len(voters) != params.threshold \
+                    or not self.owner_of.keys() >= set(voters):
+                raise InvalidInput("validator bits must flag t registered members")
+            randomized = params.aggregator_mode == RANDOMIZED
+            if ("seed_x" in p) != randomized:
+                raise InvalidInput("a seed point goes with randomized rotation only")
+            seed = curve.require_on_curve(Point(p["seed_x"], p["seed_y"])) \
+                if randomized else None
+            if self.escrow < params.request_fee:
+                raise InvalidInput("escrow cannot cover the submission rewards")
+            self._tree = self._updated_tree(event)
+            request.status = ANSWERED
+            request.answer_hash = p["block_hash"]
+            request.validator_bits = p["validator_bits"]
+            request.agg_index = p["agg_index"]
+            self.escrow -= params.request_fee
+            self.aggregator_cursor = (p["agg_index"] + 1) % params.capacity
+            if randomized:
+                self.seed_point = seed
+                self.timeout_count = 0
+        elif kind == SLASHED:
+            request = self._slashable(p["request_id"], p["val_index"])
+            if p["agg_index"] != request.agg_index:
+                raise NotAggregator(f"index {p['agg_index']} did not answer the request")
+            self._require_member(p["val_index"])
+            self._tree = self._updated_tree(event)
+            self.slashed.add((p["request_id"], p["val_index"]))
+        elif kind == AGGREGATOR_TIMEOUT:
+            if p["index"] != self.get_aggregator():
+                raise NotAggregator(f"index {p['index']} is not the aggregator")
+            self.aggregator_cursor = (p["index"] + 1) % params.capacity
+            if params.aggregator_mode == RANDOMIZED:
+                self.timeout_count += 1
+        self.now = event.time
+        self.events.append(event)
+
+    def _updated_tree(self, event: Event) -> StateTree:
+        """A copy of the tree with a proof-gated event applied; InvalidProof
+        unless it reaches the event's post state root."""
+        tree = self._tree.copy()
+        apply_event_to_tree(tree, event, self.params.agg_reward, self.params.val_reward)
+        if tree.root != event.payload["post_state_root"]:
+            raise InvalidProof(f"post root differs from the canonical {event.kind} update")
+        return tree
+
+    # -- internals ---------------------------------------------------------
+
+    def _emit(self, kind: str, **payload) -> None:
+        self._apply(Event(len(self.events), self.now, kind, payload))
+
+    def _pending(self, request_id: int) -> Request:
+        request = self.requests.get(request_id)
+        if request is None or request.status != PENDING:
+            raise RequestNotPending(f"request {request_id} is not pending")
+        return request
+
+    def _slashable(self, request_id: int, val_index: int) -> Request:
         request = self.requests.get(request_id)
         if request is None or request.status != ANSWERED:
             raise RequestPending(f"request {request_id} has not been answered")
         if (request_id, val_index) in self.slashed:
             raise AlreadySlashed(f"validator {val_index} already slashed for "
                                  f"request {request_id}")
-        public = SlashPublic(self.state_root, post_state_root, request.answer_hash,
-                             request_id, agg_index, val_index)
-        if not self.backend.verify(SLASH, public, proof):
-            raise InvalidProof("slash proof rejected")
-        self._apply_slash(agg_index, val_index, post_state_root)
-        self.slashed.add((request_id, val_index))
-        self._emit(SLASHED, request_id=request_id, agg_index=agg_index,
-                   val_index=val_index, post_state_root=post_state_root)
+        return request
 
-    def timeout_aggregator(self) -> int:
-        """Rotate past an unresponsive aggregator; driven by the network layer."""
-        skipped = self.get_aggregator()
-        self.aggregator_cursor = (skipped + 1) % self.params.capacity
-        if self.params.aggregator_mode == RANDOMIZED:
-            self.timeout_count += 1
-        self._emit(AGGREGATOR_TIMEOUT, index=skipped)
-        return skipped
-
-    # -- internals ---------------------------------------------------------
-
-    def _public_seed(self) -> Optional[Point]:
-        if self.params.aggregator_mode == RANDOMIZED:
-            return self.seed_point
-        return None
+    def _require_member(self, index: int) -> None:
+        if index not in self.owner_of:
+            raise InvalidInput(f"index {index} is not a registered member")
 
     def _lowest_empty_index(self) -> Optional[int]:
         for i in range(self.params.capacity):
             if self._tree.account(i).is_empty():
                 return i
         return None
-
-    def _check_stake_bound(self, stake: int) -> None:
-        if not 0 <= stake < MAX_BALANCE:
-            raise InvalidInput(f"stake {stake} outside [0, 2^128)")
 
     def _check_account_proof(self, index: int, account: Account,
                              proof: MerkleProof) -> None:
@@ -320,66 +384,44 @@ class Contract:
             raise InvalidProof(f"account proof for index {index} does not match "
                                "the current state root")
 
-    def _apply_rewards(self, agg_index: int, validator_bits: int,
-                       post_state_root: int) -> None:
-        touched = apply_reward_updates(self._tree, agg_index, validator_bits,
-                                       self.params.agg_reward, self.params.val_reward)
-        if self._tree.root != post_state_root:
-            for idx, account in reversed(touched):
-                self._tree.set_account(idx, account)
-            raise InvalidProof("post state root does not match the canonical "
-                               "reward update")
 
-    def _apply_slash(self, agg_index: int, val_index: int,
-                     post_state_root: int) -> None:
-        touched = apply_slash_transfer(self._tree, agg_index, val_index)
-        if self._tree.root != post_state_root:
-            for idx, account in reversed(touched):
-                self._tree.set_account(idx, account)
-            raise InvalidProof("post state root does not match the canonical "
-                               "slash transfer")
-
-    def _emit(self, kind: str, **payload) -> None:
-        self.events.append(Event(len(self.events), self.now, kind, payload))
+def _check_log_tokens(**values) -> None:
+    """Strings are logged as bare key=value tokens, so one must not contain
+    whitespace (the field and line separators) or '='."""
+    for name, value in values.items():
+        if not isinstance(value, str) or "=" in value or any(c.isspace() for c in value):
+            raise InvalidInput(f"{name} {value!r} cannot be written to the event log")
 
 
-# -- shared tree updates (contract, replay, node sync) -----------------------
+# -- shared tree updates (contract reducer, node sync, slash building) ---------
+
+
+def flagged_indices(bits: int) -> list:
+    """Leaf indices whose bit is set, ascending."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def apply_reward_updates(tree: StateTree, agg_index: int, validator_bits: int,
-                         agg_reward: int, val_reward: int):
-    """Credit the aggregator then each flagged validator; returns the accounts
-    as they were, for rollback."""
-    touched = []
+                         agg_reward: int, val_reward: int) -> None:
+    """Credit the aggregator then each flagged validator."""
     agg = tree.account(agg_index)
-    touched.append((agg_index, agg))
     tree.set_account(agg_index, replace(agg, balance=agg.balance + agg_reward))
-    bits = validator_bits
-    index = 0
-    while bits:
-        if bits & 1:
-            account = tree.account(index)
-            touched.append((index, account))
-            tree.set_account(index, replace(account, balance=account.balance + val_reward))
-        bits >>= 1
-        index += 1
-    return touched
+    for index in flagged_indices(validator_bits):
+        account = tree.account(index)
+        tree.set_account(index, replace(account, balance=account.balance + val_reward))
 
 
-def apply_slash_transfer(tree: StateTree, agg_index: int, val_index: int):
-    """Move the victim's whole balance to the aggregator; returns rollback info."""
+def apply_slash_transfer(tree: StateTree, agg_index: int, val_index: int) -> None:
+    """Move the victim's whole balance to the aggregator."""
     victim = tree.account(val_index)
-    agg = tree.account(agg_index)
-    touched = [(val_index, victim), (agg_index, agg)]
     tree.set_account(val_index, replace(victim, balance=0))
     agg = tree.account(agg_index)
     tree.set_account(agg_index, replace(agg, balance=agg.balance + victim.balance))
-    return touched
 
 
 def apply_event_to_tree(tree: StateTree, event: Event,
                         agg_reward: int, val_reward: int) -> None:
-    """Account-state effect of one event; used by replay and node sync."""
+    """Account-state effect of one event; used by the reducer and node sync."""
     p = event.payload
     if event.kind == REGISTERED or event.kind == REPLACED:
         tree.set_account(p["index"], Account(p["index"],
@@ -394,64 +436,96 @@ def apply_event_to_tree(tree: StateTree, event: Event,
         apply_slash_transfer(tree, p["agg_index"], p["val_index"])
 
 
+# -- replay and audit ------------------------------------------------------------
+
+
 def replay(events, params: Params = Params()) -> Contract:
-    """Rebuild a contract from its event log; raises CorruptLog on seq gaps or
-    roots that do not reproduce."""
+    """Rebuild a contract by feeding its event log to the contract's reducer;
+    raises CorruptLog on a seq gap, an unknown kind, time running backwards
+    or an event the contract would not have accepted."""
     contract = Contract(params)
-    for position, event in enumerate(events):
-        if event.seq != position:
-            raise CorruptLog(f"expected seq {position}, found {event.seq}")
-        if event.kind not in EVENT_KINDS:
-            raise CorruptLog(f"unknown event kind {event.kind!r}")
-        if event.time < contract.now:
-            raise CorruptLog("event time moves backwards")
-        contract.now = event.time
-        p = event.payload
-        kind = event.kind
-        if kind in (REGISTERED, REPLACED, WITHDRAWN, BLOCK_SUBMITTED, SLASHED):
-            apply_event_to_tree(contract._tree, event, params.agg_reward,
-                                params.val_reward)
-        if kind == REGISTERED or kind == REPLACED:
-            contract.owner_of[p["index"]] = p["owner"]
-            contract.ip_of[p["index"]] = p["ip"]
-            contract.exit_time_of.pop(p["index"], None)
-        elif kind == EXITED:
-            contract.exit_time_of[p["index"]] = p["exit_time"]
-        elif kind == WITHDRAWN:
-            contract.owner_of.pop(p["index"], None)
-            contract.ip_of.pop(p["index"], None)
-            contract.exit_time_of.pop(p["index"], None)
-        elif kind == BLOCK_REQUESTED:
-            contract.requests[p["request_id"]] = Request(
-                p["request_id"], p["block_number"], p["fee"], p["client"])
-            contract.next_request_id = p["request_id"] + 1
-            contract.escrow += p["fee"]
-        elif kind == BLOCK_SUBMITTED:
-            request = contract.requests[p["request_id"]]
-            request.status = ANSWERED
-            request.answer_hash = p["block_hash"]
-            request.validator_bits = p["validator_bits"]
-            contract.escrow -= (params.agg_reward
-                                + params.threshold * params.val_reward)
-            contract.aggregator_cursor = (p["agg_index"] + 1) % params.capacity
-            if params.aggregator_mode == RANDOMIZED:
-                contract.seed_point = Point(p["seed_x"], p["seed_y"])
-                contract.timeout_count = 0
-            if contract.state_root != p["post_state_root"]:
-                raise CorruptLog(f"event {event.seq}: replayed root diverges")
-        elif kind == SLASHED:
-            contract.slashed.add((p["request_id"], p["val_index"]))
-            if contract.state_root != p["post_state_root"]:
-                raise CorruptLog(f"event {event.seq}: replayed root diverges")
-        elif kind == AGGREGATOR_TIMEOUT:
-            contract.aggregator_cursor = (p["index"] + 1) % params.capacity
-            if params.aggregator_mode == RANDOMIZED:
-                contract.timeout_count += 1
-        contract.events.append(event)
+    for event in events:
+        _replay_event(contract, event)
     return contract
 
 
+def _replay_event(contract: Contract, event: Event) -> None:
+    if event.seq != len(contract.events):
+        raise CorruptLog(f"expected seq {len(contract.events)}, found {event.seq}")
+    if event.kind not in EVENT_KINDS:
+        raise CorruptLog(f"unknown event kind {event.kind!r}")
+    if event.time < contract.now:
+        raise CorruptLog(f"event {event.seq}: time moves backwards")
+    try:
+        contract._apply(event)
+    except OracleError as exc:
+        raise CorruptLog(f"event {event.seq} ({event.kind}): {exc}") from None
+
+
+def conservation_trace(contract: Contract) -> list:
+    """Replay the log event by event: after each, the staked total must equal
+    the net flows the events declare, and at the end the escrow must equal
+    fees minus rewards and the replayed root the live one."""
+    problems = []
+    fee = contract.params.request_fee  # what one submission pays out
+    rebuilt = Contract(contract.params)
+    staked = escrow = 0
+    for event in contract.events:
+        try:
+            _replay_event(rebuilt, event)
+        except CorruptLog as exc:
+            return problems + [f"replay failed: {exc}"]
+        p = event.payload
+        rewards = fee if event.kind == BLOCK_SUBMITTED else 0
+        # stakes in, displaced stakes and withdrawals out, rewards in
+        staked += p.get("stake", 0) - p.get("returned", 0) - p.get("amount", 0) + rewards
+        escrow += p.get("fee", 0) - rewards
+        if rebuilt.total_staked() != staked:
+            # a slash that failed to conserve would surface here as well
+            problems.append(f"after event {event.seq} ({event.kind}): tree total "
+                            f"{rebuilt.total_staked()} != flow total {staked}")
+    if contract.escrow != escrow:
+        problems.append(f"escrow {contract.escrow} != fees minus rewards {escrow}")
+    if rebuilt.state_root != contract.state_root:
+        problems.append("replayed root differs from the live root")
+    return problems
+
+
 # -- event log text format ----------------------------------------------------
+
+PARAMS_HEADER = "# params"
+
+_JOINED = dict(index=int, owner=str, ip=str, pubkey_x=int, pubkey_y=int, stake=int)
+# Every field of every log line with its type, keyed by event kind; the
+# params header is keyed by PARAMS_HEADER and lists its fields in line order.
+LOG_FIELDS = {
+    PARAMS_HEADER: dict(depth=int, min_stake=int, val_reward=int, agg_reward=int,
+                        exit_delay=int, aggregator_mode=str),
+    REGISTERED: _JOINED,
+    REPLACED: dict(_JOINED, displaced_owner=str, returned=int),
+    EXITED: dict(index=int, exit_time=float),
+    WITHDRAWN: dict(index=int, owner=str, amount=int),
+    BLOCK_REQUESTED: dict(request_id=int, block_number=int, fee=int, client=str),
+    BLOCK_SUBMITTED: dict(request_id=int, agg_index=int, block_hash=int,
+                          validator_bits=int, post_state_root=int),
+    SLASHED: dict(request_id=int, agg_index=int, val_index=int, post_state_root=int),
+    AGGREGATOR_TIMEOUT: dict(index=int),
+}
+# fields a line carries all or none of: the next seed under randomized rotation
+OPTIONAL_LOG_FIELDS = {BLOCK_SUBMITTED: dict(seed_x=int, seed_y=int)}
+
+# a logged tree of this depth is still small enough to rebuild in memory
+MAX_LOG_DEPTH = 16
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
+_DECODERS = {int: int, float: _finite_float, str: str}
 
 
 def dump_events(events) -> str:
@@ -467,10 +541,8 @@ def dump_events(events) -> str:
 
 def dump_log(contract: Contract) -> str:
     """Event log with a leading '# params' line so replay is self-contained."""
-    p = contract.params
-    header = (f"# params depth={p.depth} min_stake={p.min_stake} "
-              f"val_reward={p.val_reward} agg_reward={p.agg_reward} "
-              f"exit_delay={p.exit_delay} aggregator_mode={p.aggregator_mode}")
+    header = " ".join([PARAMS_HEADER] + [f"{key}={getattr(contract.params, key)}"
+                                         for key in LOG_FIELDS[PARAMS_HEADER]])
     return header + "\n" + dump_events(contract.events)
 
 
@@ -478,48 +550,51 @@ def parse_log(text: str):
     """Inverse of dump_log: returns (params, events)."""
     params = Params()
     lines = text.splitlines()
-    if lines and lines[0].startswith("# params "):
-        fields = {}
-        for item in lines[0][len("# params "):].split(" "):
-            key, _, raw = item.partition("=")
-            fields[key] = _parse_value(raw)
-        try:
-            params = Params(**fields)
-        except TypeError as exc:
-            raise CorruptLog(f"bad params header: {exc}") from None
+    if lines and lines[0].startswith(PARAMS_HEADER + " "):
+        items = lines[0][len(PARAMS_HEADER) + 1:].split(" ")
+        params = Params(**_parse_fields(items, PARAMS_HEADER, "params header"))
+        if not 1 <= params.depth <= MAX_LOG_DEPTH:
+            raise CorruptLog(f"params header: depth {params.depth} outside "
+                             f"[1, {MAX_LOG_DEPTH}]")
         lines = lines[1:]
     return params, parse_events("\n".join(lines))
 
 
-def _parse_value(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
 def parse_events(text: str):
+    """Inverse of dump_events; every line must carry exactly the fields
+    LOG_FIELDS lists for its kind, each of its listed type."""
     events = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split(" ")
-        if len(parts) < 3:
-            raise CorruptLog(f"line {lineno}: too few fields")
+        where = f"line {lineno}"
+        if len(parts) < 3 or parts[1] not in EVENT_KINDS:
+            raise CorruptLog(f"{where}: not an event record")
         try:
             seq = int(parts[0])
-            time = float(parts[2])
+            time = _finite_float(parts[2])
         except ValueError as exc:
-            raise CorruptLog(f"line {lineno}: {exc}") from None
-        payload = {}
-        for item in parts[3:]:
-            key, _, raw = item.partition("=")
-            if not key or not raw and "=" not in item:
-                raise CorruptLog(f"line {lineno}: malformed payload field {item!r}")
-            payload[key] = _parse_value(raw)
-        events.append(Event(seq, time, parts[1], payload))
+            raise CorruptLog(f"{where}: {exc}") from None
+        events.append(Event(seq, time, parts[1],
+                            _parse_fields(parts[3:], parts[1], where)))
     return events
+
+
+def _parse_fields(items, kind: str, where: str) -> dict:
+    required = LOG_FIELDS[kind]
+    optional = OPTIONAL_LOG_FIELDS.get(kind, {})
+    types = {**required, **optional}
+    values = {}
+    for item in items:
+        key, sep, raw = item.partition("=")
+        if not sep or key not in types or key in values:
+            raise CorruptLog(f"{where}: unexpected field {item!r}")
+        try:
+            values[key] = _DECODERS[types[key]](raw)
+        except ValueError:
+            raise CorruptLog(f"{where}: {key}={raw!r} is not "
+                             f"{types[key].__name__}") from None
+    if values.keys() not in (required.keys(), types.keys()):
+        raise CorruptLog(f"{where}: expected the fields {sorted(required)}")
+    return values

@@ -58,10 +58,6 @@ def add(p: Point, q: Point) -> Point:
     return Point(x3, y3)
 
 
-def negate(p: Point) -> Point:
-    return Point((-p.x) % P, p.y)
-
-
 # -- extended coordinates (X:Y:Z:T) with x = X/Z, y = Y/Z, T = XY/Z ----------
 
 _EXT_IDENTITY = (0, 1, 1, 0)

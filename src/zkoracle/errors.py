@@ -101,9 +101,5 @@ class UnknownBackend(OracleError):
     pass
 
 
-class ChainUnavailable(OracleError):
-    """Source chain could not be queried; the caller should retry, not vote zero."""
-
-
 class ConfigError(OracleError):
     pass

@@ -5,33 +5,4 @@ alt_bn128, so everything committed here stays native to a pairing-based
 verifier for that curve.
 """
 
-from .errors import InvalidInput
-
 P = 21888242871839275222246405745257275088548364400416034343698204186575808495617
-
-FE_BYTES = 32
-
-
-def fe(value: int) -> int:
-    """Reduce an arbitrary int into the field."""
-    return value % P
-
-
-def check_fe(value: int) -> int:
-    if not isinstance(value, int) or not 0 <= value < P:
-        raise InvalidInput(f"not a canonical field element: {value!r}")
-    return value
-
-
-def encode_fe(value: int) -> bytes:
-    """Canonical 32-byte big-endian encoding."""
-    return check_fe(value).to_bytes(FE_BYTES, "big")
-
-
-def decode_fe(data: bytes) -> int:
-    if len(data) != FE_BYTES:
-        raise InvalidInput(f"expected {FE_BYTES} bytes, got {len(data)}")
-    value = int.from_bytes(data, "big")
-    if value >= P:
-        raise InvalidInput("encoding exceeds the field modulus")
-    return value

@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import circuits, eddsa
 from .circuits import AGGREGATION, SLASH, Proof, check_aggregation, check_slash
-from .contract import Contract, Params, apply_event_to_tree, apply_slash_transfer
+from .contract import Params, apply_event_to_tree, apply_slash_transfer
 from .errors import CorruptLog, OracleError
 from .eddsa import Signature
 from .field import P
@@ -110,7 +110,6 @@ class Submission:
 @dataclass(frozen=True)
 class SlashAction:
     request_id: int
-    agg_index: int
     val_index: int
     post_state_root: int
     proof: Proof
@@ -142,9 +141,6 @@ class OracleNode:
             apply_event_to_tree(self.local_tree, event,
                                 self.params.agg_reward, self.params.val_reward)
             self.last_seq += 1
-
-    def role(self, contract: Contract) -> str:
-        return "aggregator" if contract.get_aggregator() == self.index else "validator"
 
     # -- validator side -----------------------------------------------------
 
@@ -225,7 +221,7 @@ class OracleNode:
                 work, self.index, vote, request_id, answer_hash)
             report = check_slash(public, witness)
             proof = self.backend.prove(SLASH, public, witness)
-            actions.append(SlashAction(request_id, self.index, vote.validator_index,
+            actions.append(SlashAction(request_id, vote.validator_index,
                                        public.post_state_root, proof,
                                        report.constraint_count))
             apply_slash_transfer(work, self.index, vote.validator_index)

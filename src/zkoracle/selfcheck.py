@@ -4,14 +4,11 @@ Each function returns a list of problem strings; empty means the check holds.
 """
 
 import random
-from dataclasses import replace as dc_replace
 from itertools import combinations, product
 
 from . import eddsa
-from .circuits import (AggregationPublic, AggregationWitness, VoteWitness,
-                       check_aggregation)
-from .contract import (BLOCK_SUBMITTED, REGISTERED, REPLACED, WITHDRAWN, Params,
-                       apply_event_to_tree, replay)
+from .circuits import _stage_aggregation, check_aggregation
+from .contract import Params
 from .merkle import Account, StateTree
 from .nodes import make_vote
 from .simnet import ScenarioConfig, run_scenario, verify_run
@@ -27,28 +24,6 @@ def _small_committee(depth: int = 2, stake: int = 100):
         tree.set_account(i, Account(i, kp.pk, stake))
         keys.append(kp)
     return tree, keys
-
-
-def _force_package(tree, agg_index, votes, request_id, block_hash,
-                   agg_reward, val_reward):
-    """Package arbitrary votes without the honest builder's guards; the
-    circuit's own assertions are what is under test."""
-    work = tree.copy()
-    pre_root = work.root
-    agg = work.account(agg_index)
-    agg_proof = work.prove(agg_index)
-    work.set_account(agg_index, dc_replace(agg, balance=agg.balance + agg_reward))
-    bits = 0
-    witnesses = []
-    for v in votes:
-        account = work.account(v.validator_index)
-        proof = work.prove(v.validator_index)
-        witnesses.append(VoteWitness(account, proof, v.signature, v.block_hash))
-        work.set_account(v.validator_index,
-                         dc_replace(account, balance=account.balance + val_reward))
-        bits |= 1 << v.validator_index
-    public = AggregationPublic(pre_root, work.root, block_hash, request_id, bits)
-    return public, AggregationWitness(agg, agg_proof, tuple(witnesses))
 
 
 def aggregation_brute_force() -> list:
@@ -81,7 +56,8 @@ def aggregation_brute_force() -> list:
                 packagings.append(((available[0], available[0], available[1]),
                                    False))
             for packaging, distinct in packagings:
-                public, witness = _force_package(
+                # unguarded staging: the circuit's own assertions are under test
+                public, witness = _stage_aggregation(
                     tree, 0, packaging, request_id, answer,
                     params.agg_reward, params.val_reward)
                 report = check_aggregation(public, witness,
@@ -93,32 +69,6 @@ def aggregation_brute_force() -> list:
                         f"assignment {assignment} answer {answer}: expected "
                         f"{'accept' if expected else 'reject'}, got "
                         f"{report.failure_site or 'accept'}")
-    return problems
-
-
-def conservation_trace(contract) -> list:
-    """Conservation after every transaction, replayed from the event log."""
-    problems = []
-    params = contract.params
-    tree = StateTree(params.depth)
-    flows = 0  # deposits - withdrawals - displaced + rewards
-    per_submit = params.agg_reward + params.threshold * params.val_reward
-    for event in contract.events:
-        apply_event_to_tree(tree, event, params.agg_reward, params.val_reward)
-        p = event.payload
-        if event.kind == REGISTERED:
-            flows += p["stake"]
-        elif event.kind == REPLACED:
-            flows += p["stake"] - p["returned"]
-        elif event.kind == WITHDRAWN:
-            flows -= p["amount"]
-        elif event.kind == BLOCK_SUBMITTED:
-            flows += per_submit
-        total = sum(tree.account(i).balance for i in tree.occupied_indices())
-        if total != flows:
-            # a slash that failed to conserve would surface here as well
-            problems.append(f"after event {event.seq} ({event.kind}): tree total "
-                            f"{total} != flow total {flows}")
     return problems
 
 
@@ -164,15 +114,11 @@ def _exercise_membership(contract, time_warp: float) -> None:
 
 def conservation_suite(count: int = 50, base_seed: int = 1000) -> list:
     """Random full scenarios plus membership churn, audited transaction by
-    transaction."""
+    transaction (verify_run runs the conservation trace)."""
     problems = []
     for i in range(count):
         config = random_scenario_config(base_seed + i)
         run = run_scenario(config)
         _exercise_membership(run.contract, run.contract.params.exit_delay)
         problems.extend(f"{config.name}: {p}" for p in verify_run(run))
-        problems.extend(f"{config.name}: {p}" for p in conservation_trace(run.contract))
-        rebuilt = replay(run.contract.events, run.contract.params)
-        if rebuilt.state_root != run.contract.state_root:
-            problems.append(f"{config.name}: replay root mismatch after churn")
     return problems

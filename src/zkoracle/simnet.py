@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 from . import eddsa
-from .contract import (BLOCK_SUBMITTED, RANDOMIZED, REGISTERED, REPLACED,
-                       WITHDRAWN, Contract, Params, PENDING, replay)
+from .contract import RANDOMIZED, Contract, Params, PENDING, conservation_trace
 from .errors import ConfigError
 from .field import P
 from .mimc import mimc_hash
@@ -65,15 +64,6 @@ class MockChain:
     def block_at(self, number: int) -> Optional[Block]:
         if 0 <= number <= self.tip:
             return self.blocks[number]
-        return None
-
-    def is_canonical(self, block: Block) -> bool:
-        return self.block_at(block.number) == block
-
-    def fork_block_at(self, number: int) -> Optional[Block]:
-        for b in self.fork:
-            if b.number == number:
-                return b
         return None
 
     def advance(self, k: int, fork_spec=None) -> None:
@@ -127,16 +117,6 @@ class MessageBus:
         at = max(at, self._last.get(key, at))
         self._last[key] = at
         return at
-
-
-def bus_deliver(bus: MessageBus, messages):
-    """Schedule (src, dst, send_time, payload) records; dropped ones vanish."""
-    schedule = []
-    for src, dst, send_time, payload in messages:
-        at = bus.deliver(src, dst, send_time)
-        if at is not None:
-            schedule.append((at, src, dst, payload))
-    return schedule
 
 
 # -- scenario configuration ----------------------------------------------------
@@ -453,8 +433,8 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
         node.sync(contract.events)
         answer_hash = contract.requests[request_id].answer_hash
         for action in node.build_slashes(request_id, answer_hash):
-            contract.slash(node.name, action.request_id, action.agg_index,
-                           action.val_index, action.post_state_root, action.proof)
+            contract.slash(node.name, action.request_id, action.val_index,
+                           action.post_state_root, action.proof)
             slashes += 1
             slash_constraints += action.constraint_count
         clock = settle_time
@@ -486,43 +466,8 @@ def verify_run(run: ScenarioRun) -> list:
 
     Returns a list of human-readable violations; empty means the run holds.
     """
-    problems = []
     contract = run.contract
-
-    deposits = returned = withdrawn = rewards = fees = 0
-    submissions = 0
-    for event in contract.events:
-        p = event.payload
-        if event.kind == REGISTERED:
-            deposits += p["stake"]
-        elif event.kind == REPLACED:
-            deposits += p["stake"]
-            returned += p["returned"]
-        elif event.kind == WITHDRAWN:
-            withdrawn += p["amount"]
-        elif event.kind == BLOCK_SUBMITTED:
-            submissions += 1
-        elif event.kind == "BlockRequested":
-            fees += p["fee"]
-    rewards = submissions * (contract.params.agg_reward
-                             + contract.params.threshold * contract.params.val_reward)
-
-    total = contract.total_staked()
-    if total != deposits - withdrawn - returned + rewards:
-        problems.append(f"conservation broken: tree holds {total}, flows imply "
-                        f"{deposits - withdrawn - returned + rewards}")
-    if contract.escrow != fees - rewards:
-        problems.append(f"escrow {contract.escrow} != fees {fees} - rewards {rewards}")
-    if contract.escrow < 0:
-        problems.append("escrow went negative")
-
-    try:
-        rebuilt = replay(contract.events, contract.params)
-        if rebuilt.state_root != contract.state_root:
-            problems.append("replayed root differs from the live root")
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the audit
-        problems.append(f"replay failed: {exc}")
-
+    problems = conservation_trace(contract)
     for node in run.nodes:
         node.sync(contract.events)
         if node.local_tree.root != contract.state_root:

@@ -93,6 +93,20 @@ def test_replay_deleted_record(tmp_path):
     assert main(["replay", "--log", str(mangled)]) == 1
 
 
+def test_replay_hostile_log_exits_1(tmp_path, capsys):
+    # an off-curve key and a submission for a request that never existed
+    header = "# params depth=2 min_stake=100 val_reward=10 agg_reward=50 " \
+             "exit_delay=604800 aggregator_mode=round_robin"
+    for line in ("0 Registered 0.0 index=0 ip=ip owner=o pubkey_x=1 pubkey_y=1 "
+                 "stake=100",
+                 "0 BlockSubmitted 0.0 agg_index=0 block_hash=1 "
+                 "post_state_root=2 request_id=9 validator_bits=7"):
+        log = tmp_path / "hostile.log"
+        log.write_text(f"{header}\n{line}\n")
+        assert main(["replay", "--log", str(log)]) == 1
+        assert "corrupt log" in capsys.readouterr().err
+
+
 def test_replay_empty_log(tmp_path, capsys):
     empty = tmp_path / "empty.log"
     empty.write_text("")

@@ -372,7 +372,7 @@ def slashable_setup():
 def test_slash_transfers_balance():
     contract, keys, _, public, proof = slashable_setup()
     before_agg = contract.account(0).balance
-    contract.slash("owner-0", 0, 0, 3, public.post_state_root, proof)
+    contract.slash("owner-0", 0, 3, public.post_state_root, proof)
     assert contract.account(3).balance == 0
     assert contract.account(0).balance == before_agg + 100
     assert (0, 3) in contract.slashed
@@ -388,25 +388,43 @@ def test_slash_before_answer_rejected():
         contract.tree_snapshot(), 0, dissent, 0, 777)
     proof = prove("transparent", "slash", public, witness)
     with pytest.raises(RequestPending):
-        contract.slash("owner-0", 0, 0, 3, public.post_state_root, proof)
+        contract.slash("owner-0", 0, 3, public.post_state_root, proof)
 
 
 def test_slash_twice_rejected():
     contract, keys, dissent, public, proof = slashable_setup()
-    contract.slash("owner-0", 0, 0, 3, public.post_state_root, proof)
+    contract.slash("owner-0", 0, 3, public.post_state_root, proof)
     # rebuild against the new root; replay protection must still reject
     public2, witness2 = circuits.build_slash_witness(
         contract.tree_snapshot(), 0, dissent, 0, 777)
     proof2 = prove("transparent", "slash", public2, witness2)
     with pytest.raises(AlreadySlashed):
-        contract.slash("owner-0", 0, 0, 3, public2.post_state_root, proof2)
+        contract.slash("owner-0", 0, 3, public2.post_state_root, proof2)
 
 
 def test_slash_conserves_total():
     contract, keys, _, public, proof = slashable_setup()
     total_before = contract.total_staked()
-    contract.slash("owner-0", 0, 0, 3, public.post_state_root, proof)
+    contract.slash("owner-0", 0, 3, public.post_state_root, proof)
     assert contract.total_staked() == total_before
+
+
+def test_slash_bound_to_the_answering_aggregator():
+    # index 0 answered request 0: no one else may slash its dissenters, and
+    # the stake cannot be sent to another member
+    contract, keys, dissent, _, _ = slashable_setup()
+    assert contract.requests[0].agg_index == 0
+    public, witness = circuits.build_slash_witness(
+        contract.tree_snapshot(), 2, dissent, 0, 777)
+    proof = prove("transparent", "slash", public, witness)
+    root = contract.state_root
+    for caller in ("mallory", "owner-2"):
+        with pytest.raises(NotAggregator):
+            contract.slash(caller, 0, 3, public.post_state_root, proof)
+    with pytest.raises(InvalidProof):
+        contract.slash("owner-0", 0, 3, public.post_state_root, proof)
+    assert contract.state_root == root
+    assert not contract.slashed
 
 
 # -- replay and event log --------------------------------------------------------------------
@@ -507,13 +525,13 @@ def test_root_consistency_against_shadow_tree():
 
     dissent = make_vote(keys[3].sk, 3, 0, 888)
     s_public, s_witness = circuits.build_slash_witness(
-        contract.tree_snapshot(), 1, dissent, 0, 777)
+        contract.tree_snapshot(), 0, dissent, 0, 777)
     s_proof = prove("transparent", "slash", s_public, s_witness)
-    contract.slash("owner-1", 0, 1, 3, s_public.post_state_root, s_proof)
+    contract.slash("owner-0", 0, 3, s_public.post_state_root, s_proof)
     amount = shadow.account(3).balance
     shadow.set_account(3, replace(shadow.account(3), balance=0))
-    shadow.set_account(1, replace(shadow.account(1),
-                                  balance=shadow.account(1).balance + amount))
+    shadow.set_account(0, replace(shadow.account(0),
+                                  balance=shadow.account(0).balance + amount))
     check()
 
     contract.exit("owner-2", contract.account(2), contract.prove(2))

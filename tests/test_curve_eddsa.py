@@ -6,7 +6,7 @@ import pytest
 
 from zkoracle import eddsa
 from zkoracle.curve import (GENERATOR, IDENTITY, L, Point, add, decode_point,
-                            encode_point, is_on_curve, negate, scalar_mul,
+                            encode_point, is_on_curve, scalar_mul,
                             scalar_mul_base)
 from zkoracle.errors import InvalidKey, InvalidPoint
 from zkoracle.field import P
@@ -31,7 +31,7 @@ def test_group_laws():
     g2 = add(GENERATOR, GENERATOR)
     assert is_on_curve(g2)
     assert add(GENERATOR, IDENTITY) == GENERATOR
-    assert add(GENERATOR, negate(GENERATOR)) == IDENTITY
+    assert add(GENERATOR, Point(P - GENERATOR.x, GENERATOR.y)) == IDENTITY
     assert add(GENERATOR, g2) == add(g2, GENERATOR)
 
 

@@ -1,4 +1,4 @@
-"""Field codec and MiMC hash tests.
+"""Field and MiMC hash tests.
 
 Expected values are frozen from an independent straight-line implementation
 of the same round function (reproduced below as the oracle).
@@ -10,7 +10,7 @@ import random
 import pytest
 
 from zkoracle.errors import InvalidInput
-from zkoracle.field import P, decode_fe, encode_fe
+from zkoracle.field import P
 from zkoracle.mimc import CONSTANTS, ROUNDS, SEED, mimc_hash, permute
 
 MIMC_ZERO = 20480970831563890370416455357282984018960104999813493870732780816150879805105
@@ -100,22 +100,6 @@ def test_collision_smoke():
     for _ in range(100_000):
         seen.add(mimc_hash([rng.randrange(P)]))
     assert len(seen) == 100_000
-
-
-def test_field_encoding_roundtrip():
-    rng = random.Random(1)
-    values = [0, 1, P - 1] + [rng.randrange(P) for _ in range(200)]
-    for x in values:
-        data = encode_fe(x)
-        assert len(data) == 32
-        assert decode_fe(data) == x
-
-
-def test_field_decode_rejects_out_of_range():
-    with pytest.raises(InvalidInput):
-        decode_fe(P.to_bytes(32, "big"))
-    with pytest.raises(InvalidInput):
-        decode_fe(b"\x00" * 31)
 
 
 def test_additive_inverse_identity():

@@ -6,8 +6,8 @@ import pytest
 
 from zkoracle.contract import dump_events
 from zkoracle.errors import ConfigError
-from zkoracle.simnet import (MessageBus, MockChain, ScenarioConfig, bus_deliver,
-                             run_scenario, verify_run)
+from zkoracle.simnet import (MessageBus, MockChain, ScenarioConfig, run_scenario,
+                             verify_run)
 
 
 # -- mock chain --------------------------------------------------------------
@@ -35,7 +35,6 @@ def test_fork_overtake_reorgs():
     old_tip = chain.block_at(10)
     chain.advance(0, fork_spec=(9, 2))  # branch from 9, two blocks: 10', 11'
     assert chain.tip == 11
-    assert not chain.is_canonical(old_tip)
     assert chain.block_at(10) != old_tip
     assert chain.block_at(9).hash == chain.block_at(10).parent
 
@@ -45,9 +44,12 @@ def test_short_fork_stays_side_branch():
     chain.advance(10)
     canonical_9 = chain.block_at(9)
     chain.advance(0, fork_spec=(8, 1))  # branch tip 9 < canonical tip 10
+    assert chain.tip == 10
     assert chain.block_at(9) == canonical_9
-    assert chain.fork_block_at(9) is not None
-    assert not chain.is_canonical(chain.fork_block_at(9))
+    # the side branch was kept: two more blocks on it (9', 10', 11') overtake
+    chain.advance(0, fork_spec=(8, 2))
+    assert chain.tip == 11
+    assert chain.block_at(9) != canonical_9
 
 
 # -- message bus --------------------------------------------------------------
@@ -55,22 +57,20 @@ def test_short_fork_stays_side_branch():
 
 def test_bus_zero_delay_zero_drop():
     bus = MessageBus(random.Random(5), max_delay=0.0, drop_rate=0.0)
-    schedule = bus_deliver(bus, [(1, 2, 10.0, "a"), (2, 3, 10.0, "b")])
-    assert [(t, p) for t, _, _, p in schedule] == [(10.0, "a"), (10.0, "b")]
+    assert [bus.deliver(1, 2, 10.0), bus.deliver(2, 3, 10.0)] == [10.0, 10.0]
 
 
 def test_bus_full_drop():
     bus = MessageBus(random.Random(6), max_delay=0.1, drop_rate=1.0)
-    assert bus_deliver(bus, [(1, 2, 0.0, "x")] * 10) == []
+    assert [bus.deliver(1, 2, 0.0) for _ in range(10)] == [None] * 10
     # self-delivery bypasses the network entirely
     assert bus.deliver(4, 4, 3.0) == 3.0
 
 
 def test_bus_deterministic_given_seed():
-    msgs = [(i % 3, 7, float(i), i) for i in range(20)]
-    a = bus_deliver(MessageBus(random.Random(9), 0.5, 0.2), list(msgs))
-    b = bus_deliver(MessageBus(random.Random(9), 0.5, 0.2), list(msgs))
-    assert a == b
+    msgs = [(i % 3, 7, float(i)) for i in range(20)]
+    a, b = (MessageBus(random.Random(9), 0.5, 0.2) for _ in range(2))
+    assert [a.deliver(*m) for m in msgs] == [b.deliver(*m) for m in msgs]
 
 
 def test_bus_fifo_per_pair():
