@@ -272,6 +272,8 @@ class Contract:
         kind = event.kind
         params = self.params
         if kind in (REGISTERED, REPLACED):
+            if kind == REGISTERED and p["index"] in self.owner_of:
+                raise InvalidInput(f"index {p['index']} is already registered")
             curve.require_on_curve(Point(p["pubkey_x"], p["pubkey_y"]))
             if not 0 <= p["stake"] < MAX_BALANCE:
                 raise InvalidInput(f"stake {p['stake']} outside [0, 2^128)")

@@ -2,11 +2,26 @@
 
 a*x^2 + y^2 = 1 + d*x^2*y^2 with a = 168700, d = 168696.  GENERATOR spans the
 prime-order subgroup of order L (cofactor 8 removed).  The published constants
-are re-verified at import: on-curve, L*G = identity, 2*G != identity.
+are re-verified at import: on-curve, L*G = identity, 2*G != identity, and the
+fixed-base comb agrees with the variable-base multiplier.
 
-Scalar multiplication runs in extended coordinates (no per-step inversion);
-fixed-base multiples of GENERATOR are precomputed since signing and
-verification both multiply the base point.
+Scalar multiplication runs in extended coordinates (Hisil, Wong, Carter,
+Dawson, *Twisted Edwards curves revisited*, 2008), so the only inversion is
+the one that returns the affine result.  Both multipliers cut the scalar into
+4-bit windows (Bernstein et al., *High-speed high-security signatures*, 2012):
+
+- ``scalar_mul_base`` reads a fixed-base comb built once at import, row i
+  holding j * 16^i * G for j < 16, so k*G is one addition per nonzero window
+  and no doubling;
+- ``scalar_mul`` builds the 15 multiples of its point per call and then
+  doubles four times and adds one table entry per window.
+
+Affine ``add`` shares one inversion of (1 + dxy)(1 - dxy) between both
+coordinates.  Inverses come from ``pow(z, -1, P)`` (extended Euclid, about ten
+times faster than Fermat's z^(P-2)), and 0 maps to 0 as under Fermat, so an
+off-curve input still yields a point instead of raising.  On-curve results
+do not depend on the method; off-curve ones do, and every caller rejects
+off-curve points before their products matter.
 """
 
 from functools import lru_cache
@@ -48,13 +63,23 @@ def require_on_curve(pt: Point) -> Point:
     return pt
 
 
+def _inverse(z: int) -> int:
+    """1/z mod P, and 0 for z = 0 (the value z^(P-2) gives)."""
+    return pow(z, -1, P) if z % P else 0
+
+
 def add(p: Point, q: Point) -> Point:
     """Affine addition; the Edwards law is complete for this curve."""
     x1, y1 = p
     x2, y2 = q
     dxy = D * x1 * x2 % P * y1 % P * y2 % P
-    x3 = (x1 * y2 + y1 * x2) * pow(1 + dxy, P - 2, P) % P
-    y3 = (y1 * y2 - A * x1 * x2) * pow(1 - dxy, P - 2, P) % P
+    inv = _inverse((1 + dxy) * (1 - dxy))
+    if inv:
+        x3 = (x1 * y2 + y1 * x2) * (1 - dxy) % P * inv % P
+        y3 = (y1 * y2 - A * x1 * x2) * (1 + dxy) % P * inv % P
+    else:  # only off the curve: keep each coordinate's own inverse
+        x3 = (x1 * y2 + y1 * x2) * _inverse(1 + dxy) % P
+        y3 = (y1 * y2 - A * x1 * x2) * _inverse(1 - dxy) % P
     return Point(x3, y3)
 
 
@@ -69,7 +94,7 @@ def _to_ext(p: Point):
 
 def _from_ext(e) -> Point:
     x, y, z, _ = e
-    zinv = pow(z, P - 2, P)
+    zinv = _inverse(z)
     return Point(x * zinv % P, y * zinv % P)
 
 
@@ -104,45 +129,52 @@ def _ext_double(p):
 # proof re-execution); both multiplications are pure, so memoize them
 @lru_cache(maxsize=1 << 14)
 def scalar_mul(k: int, p: Point) -> Point:
-    """k*P for any point; double-and-add over extended coordinates."""
+    """k*P for any point; fixed 4-bit windows, most significant first."""
     k %= L
     if k == 0:
         return IDENTITY
-    acc = _EXT_IDENTITY
-    base = _to_ext(p)
-    while k:
-        if k & 1:
-            acc = _ext_add(acc, base)
-        base = _ext_double(base)
-        k >>= 1
+    table = [_EXT_IDENTITY, _to_ext(p)]
+    for _ in range(14):
+        table.append(_ext_add(table[-1], table[1]))
+    shift = (k.bit_length() - 1) // 4 * 4
+    acc = table[k >> shift]
+    while shift:
+        shift -= 4
+        acc = _ext_double(_ext_double(_ext_double(_ext_double(acc))))
+        digit = (k >> shift) & 15
+        if digit:
+            acc = _ext_add(acc, table[digit])
     return _from_ext(acc)
 
 
-def _base_table():
-    table = []
-    e = _to_ext(GENERATOR)
-    for _ in range(L.bit_length()):
-        table.append(e)
-        e = _ext_double(e)
-    return table
+def _comb_rows():
+    """Row i holds j * 16^i * G for j = 0..15; enough rows for any k < L."""
+    rows = []
+    base = _to_ext(GENERATOR)
+    for _ in range(-(-L.bit_length() // 4)):
+        row = [_EXT_IDENTITY, base]
+        for _ in range(14):
+            row.append(_ext_add(row[-1], base))
+        rows.append(row)
+        base = _ext_double(row[8])
+    return rows
 
 
-_BASE_POWERS = _base_table()
+_BASE_COMB = _comb_rows()
 
 
 @lru_cache(maxsize=1 << 14)
 def scalar_mul_base(k: int) -> Point:
-    """k*GENERATOR using the precomputed doubling table."""
+    """k*GENERATOR: one comb addition per nonzero 4-bit window of k."""
     k %= L
     if k == 0:
         return IDENTITY
     acc = _EXT_IDENTITY
-    i = 0
-    while k:
-        if k & 1:
-            acc = _ext_add(acc, _BASE_POWERS[i])
-        k >>= 1
-        i += 1
+    for row in _BASE_COMB:
+        digit = k & 15
+        if digit:
+            acc = _ext_add(acc, row[digit])
+        k >>= 4
     return _from_ext(acc)
 
 
@@ -152,9 +184,16 @@ def encode_point(p: Point) -> bytes:
 
 
 def decode_point(data: bytes) -> Point:
+    """Inverse of encode_point for on-curve points; anything else raises."""
     if len(data) != 64:
         raise InvalidPoint(f"expected 64 bytes, got {len(data)}")
-    return Point(int.from_bytes(data[:32], "big"), int.from_bytes(data[32:], "big"))
+    return require_on_curve(Point(int.from_bytes(data[:32], "big"),
+                                  int.from_bytes(data[32:], "big")))
+
+
+# a fixed 253-bit scalar whose residue mod L has a nonzero digit in every
+# 4-bit window, so the check reads one entry of every comb row
+_CHECK_SCALAR = 0x1c2513d2ebe3387b68cbaa9e22d72fabdc786e743ae7ab54169e98cea7713b3c
 
 
 def _check_parameters() -> None:
@@ -164,6 +203,8 @@ def _check_parameters() -> None:
         raise InvalidPoint("generator does not have order L")
     if scalar_mul(2, GENERATOR) == IDENTITY:
         raise InvalidPoint("generator has low order")
+    if scalar_mul_base(_CHECK_SCALAR) != scalar_mul(_CHECK_SCALAR, GENERATOR):
+        raise InvalidPoint("fixed-base comb disagrees with the variable-base multiplier")
 
 
 _check_parameters()

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from . import curve
 from .curve import L, Point
-from .errors import InvalidKey, InvalidPoint
+from .errors import InvalidInput, InvalidKey, InvalidPoint
 from .mimc import mimc_hash
 
 
@@ -48,13 +48,17 @@ def sign(sk: int, msg: int) -> Signature:
 
 
 def verify_sig(pk: Point, msg: int, sig: Signature) -> bool:
-    """True iff s*G = R + c*pk.  Off-curve pk or R raises, it is not a 'false'."""
+    """True iff 0 <= s < L and s*G = R + c*pk.  An off-curve pk or R raises
+    instead of returning False; an s outside [0, L) returns False, so
+    (R, s + L) is not a second signature."""
     if not curve.is_on_curve(pk):
         raise InvalidPoint("public key not on curve")
     if not curve.is_on_curve(sig.r):
         raise InvalidPoint("signature R not on curve")
+    if not 0 <= sig.s < L:
+        return False
     c = challenge(sig.r, pk, msg)
-    return curve.scalar_mul_base(sig.s % L) == curve.add(sig.r, curve.scalar_mul(c, pk))
+    return curve.scalar_mul_base(sig.s) == curve.add(sig.r, curve.scalar_mul(c, pk))
 
 
 def encode_signature(sig: Signature) -> bytes:
@@ -63,6 +67,10 @@ def encode_signature(sig: Signature) -> bytes:
 
 
 def decode_signature(data: bytes) -> Signature:
+    """Inverse of encode_signature for an on-curve R and a canonical s < L."""
     if len(data) != 96:
         raise InvalidPoint(f"expected 96 bytes, got {len(data)}")
-    return Signature(curve.decode_point(data[:64]), int.from_bytes(data[64:], "big"))
+    s = int.from_bytes(data[64:], "big")
+    if s >= L:
+        raise InvalidInput("signature scalar s must be below L")
+    return Signature(curve.decode_point(data[:64]), s)

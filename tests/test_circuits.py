@@ -15,6 +15,7 @@ from zkoracle.circuits import (AGGREGATION, SLASH, AggregationPublic,
                                check_aggregation, check_slash, prove, threshold,
                                verify)
 from zkoracle.errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
+from zkoracle.merkle import Account
 from zkoracle.nodes import make_vote
 
 AGG_REWARD = 50
@@ -127,6 +128,60 @@ def test_tampered_signature_fails():
                                AGG_REWARD, VAL_REWARD)
     assert not report.ok
     assert report.failure_site == "vote[1].sig-x"
+
+
+# constraint counts at depth 2, identical for every witness
+AGGREGATION_COUNT_D2 = 45202
+SLASH_COUNT_D2 = 17984
+# off the curve; the curve kernels give garbage for it that differs between
+# multiplication methods, which the circuits must never let through
+OFF_CURVE = curve.Point(5, 7)
+
+
+def _with_off_curve_key(index):
+    tree, keys = build_committee(2)
+    tree.set_account(index, Account(index, OFF_CURVE, 100))
+    return tree, keys
+
+
+def _with_off_curve_r(vote_witness):
+    return replace(vote_witness, signature=eddsa.Signature(OFF_CURVE,
+                                                           vote_witness.signature.s))
+
+
+def test_off_curve_vote_key_or_r_fails_on_curve_site():
+    tree, keys = _with_off_curve_key(1)
+    votes = honest_votes(keys, range(3), 5, 777)
+    public, witness = build_aggregation_witness(tree, 0, votes, 5, 777,
+                                                AGG_REWARD, VAL_REWARD)
+    bad_key = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
+
+    _, _, _, public, witness = honest_instance()
+    bad_votes = list(witness.votes)
+    bad_votes[2] = _with_off_curve_r(bad_votes[2])
+    bad_r = check_aggregation(public, replace(witness, votes=tuple(bad_votes)),
+                              AGG_REWARD, VAL_REWARD)
+    for report, site in ((bad_key, "vote[1].pk-on-curve"), (bad_r, "vote[2].r-on-curve")):
+        assert not report.ok
+        assert report.failure_site == site
+        assert report.constraint_count == AGGREGATION_COUNT_D2
+
+
+def test_off_curve_victim_key_or_r_fails_on_curve_site():
+    tree, keys = _with_off_curve_key(3)
+    public, witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 9, 555),
+                                          9, 666)
+    bad_key = check_slash(public, witness)
+
+    tree, keys = build_committee(2)
+    public, witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 9, 555),
+                                          9, 666)
+    assert check_slash(public, witness).constraint_count == SLASH_COUNT_D2
+    bad_r = check_slash(public, replace(witness, victim=_with_off_curve_r(witness.victim)))
+    for report, site in ((bad_key, "victim.pk-on-curve"), (bad_r, "victim.r-on-curve")):
+        assert not report.ok
+        assert report.failure_site == site
+        assert report.constraint_count == SLASH_COUNT_D2
 
 
 def test_nonmember_account_fails_membership():

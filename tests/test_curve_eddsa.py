@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from zkoracle import eddsa
-from zkoracle.curve import (GENERATOR, IDENTITY, L, Point, add, decode_point,
+from helpers import ref_add, ref_scalar_mul, ref_scalar_mul_base
+from zkoracle import curve, eddsa
+from zkoracle.curve import (GENERATOR, IDENTITY, D, L, Point, add, decode_point,
                             encode_point, is_on_curve, scalar_mul,
                             scalar_mul_base)
-from zkoracle.errors import InvalidKey, InvalidPoint
+from zkoracle.errors import InvalidKey, InvalidPoint, OracleError
 from zkoracle.field import P
+from zkoracle.nodes import decode_vote, encode_vote, make_vote
 
 
 def naive_mul(k, pt):
@@ -53,6 +55,54 @@ def test_scalar_mul_distributes():
         assert lhs == rhs
 
 
+# -- fast kernels against the reference forms in helpers.py ---------------------
+
+TORSION = [IDENTITY, Point(0, P - 1)]  # (0, 1) and the point of order 2
+
+
+def test_kernels_match_reference():
+    rng = random.Random(17)
+    scalars = [0, 1, 2, L - 1, L, L + 1, 1 << 256, (1 << 256) + 1, (1 << 300) + 12345,
+               (1 << 512) - 1] + [rng.randrange(1 << 256) for _ in range(40)]
+    points = [GENERATOR] + [ref_scalar_mul_base(rng.randrange(1, L)) for _ in range(3)]
+    points += TORSION + [ref_add(GENERATOR, t) for t in TORSION]
+    for k in scalars:
+        assert scalar_mul_base(k) == ref_scalar_mul_base(k), k
+    for pt in points:
+        for k in scalars[:10] + rng.sample(scalars[10:], 8):
+            assert scalar_mul(k, pt) == ref_scalar_mul(k, pt), (k, pt)
+
+
+def test_add_matches_reference_on_and_off_curve():
+    rng = random.Random(18)
+    on = [ref_scalar_mul_base(rng.randrange(L)) for _ in range(20)] + TORSION
+    pairs = [(a, b) for a in on[:8] for b in on[:8]]
+    pairs += [(rng.choice(on), rng.choice(on)) for _ in range(20)]
+    pairs += [(Point(rng.randrange(P), rng.randrange(P)),
+               Point(rng.randrange(P), rng.randrange(P))) for _ in range(40)]
+    d_inv = pow(D, -1, P)
+    # 1 + dxy = 0 and 1 - dxy = 0, the only inputs where the shared inverse is 0
+    zero_plus = (Point(1, 1), Point(1, P - d_inv))
+    zero_minus = (Point(1, 1), Point(1, d_inv))
+    pairs += [zero_plus, zero_minus, (Point(P + 3, -5), Point(2 * P, 7))]
+    for p, q in pairs:
+        assert add(p, q) == ref_add(p, q), (p, q)
+    assert add(*zero_plus).x == 0 and add(*zero_minus).y == 0
+
+
+def test_corrupt_comb_table_fails_the_import_check(monkeypatch):
+    corrupt = [list(row) for row in curve._BASE_COMB]
+    digit = (curve._CHECK_SCALAR % L >> 4 * 40) & 15  # the entry row 40 gives
+    corrupt[40][digit] = curve._ext_double(corrupt[40][digit])
+    monkeypatch.setattr(curve, "_BASE_COMB", corrupt)
+    scalar_mul_base.cache_clear()
+    try:
+        with pytest.raises(InvalidPoint):
+            curve._check_parameters()
+    finally:
+        scalar_mul_base.cache_clear()
+
+
 def test_point_codec():
     rng = random.Random(12)
     for _ in range(20):
@@ -62,6 +112,13 @@ def test_point_codec():
         assert decode_point(data) == pt
     with pytest.raises(InvalidPoint):
         decode_point(b"\x00" * 63)
+    with pytest.raises(InvalidPoint):
+        decode_point(encode_point(Point(1, 1)))  # off the curve
+    # (0, 1) with y + P still fits 32 bytes: a second encoding of the identity
+    with pytest.raises(InvalidPoint):
+        decode_point(encode_point(Point(0, 1 + P)))
+    with pytest.raises(InvalidPoint):
+        decode_point(encode_point(Point(P, 1)))
 
 
 def test_keygen_on_curve_and_deterministic():
@@ -160,3 +217,45 @@ def test_signature_codec():
     data = eddsa.encode_signature(sig)
     assert len(data) == 96
     assert eddsa.decode_signature(data) == sig
+
+
+def test_non_canonical_s_rejected():
+    # (R, s + L) satisfies s*G = R + c*pk as well; only s < L is a signature
+    rng = random.Random(19)
+    for _ in range(5):
+        kp = eddsa.keygen(rng.getrandbits(256).to_bytes(32, "big"))
+        msg = rng.randrange(P)
+        sig = eddsa.sign(kp.sk, msg)
+        shifted = eddsa.Signature(sig.r, sig.s + L)
+        assert eddsa.verify_sig(kp.pk, msg, sig)
+        assert not eddsa.verify_sig(kp.pk, msg, shifted)
+        assert not eddsa.verify_sig(kp.pk, msg, eddsa.Signature(sig.r, sig.s - L))
+        with pytest.raises(OracleError):
+            eddsa.decode_signature(eddsa.encode_signature(shifted))
+
+
+def test_decoders_round_trip_or_raise_oracle_error():
+    rng = random.Random(20)
+    kp = eddsa.keygen(b"\x08" * 32)
+    vote = make_vote(kp.sk, 5, 77, rng.getrandbits(256))
+    cases = [(decode_point, encode_point, kp.pk),
+             (eddsa.decode_signature, eddsa.encode_signature, vote.signature),
+             (decode_vote, encode_vote, vote)]
+    outcomes = {"round-trip": 0, "rejected": 0}
+    for decode, encode, value in cases:
+        good = encode(value)
+        for trial in range(300):
+            if trial % 3 == 0:
+                data = rng.randbytes(len(good))
+            else:  # a valid record with one byte changed
+                data = bytearray(good)
+                data[rng.randrange(len(data))] = rng.randrange(256)
+                data = bytes(data)
+            try:
+                decoded = decode(data)
+            except OracleError:
+                outcomes["rejected"] += 1
+                continue
+            assert encode(decoded) == data
+            outcomes["round-trip"] += 1
+    assert outcomes["round-trip"] > 50 and outcomes["rejected"] > 300

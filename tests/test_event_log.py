@@ -84,6 +84,8 @@ REGISTER = f"0 Registered 0.0 index=0 ip=ip owner=o {PK} stake=100"
     pytest.param([REGISTER, "1 AggregatorTimeout 1.0 index=2"],
                  id="timeout-of-non-aggregator"),
     pytest.param([REGISTER.replace(" 0.0 ", " nan ")], id="non-finite-time"),
+    pytest.param([REGISTER, "1" + REGISTER[1:].replace("owner=o", "owner=b")],
+                 id="duplicate-registration"),
 ])
 def test_hostile_log_fails_with_corrupt_log(lines):
     with pytest.raises(CorruptLog):

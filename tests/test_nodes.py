@@ -185,6 +185,20 @@ def test_on_vote_rejects_bad_signature():
     assert not accepted and reason == "invalid-signature"
 
 
+def test_on_vote_rejects_non_canonical_s():
+    # s + L passes s*G = R + c*pk; the vote must not take the slot of the
+    # canonical one
+    rng = random.Random(21)
+    contract, nodes = committee_with_contract()
+    for i in range(1, 4):
+        vote = make_vote(nodes[i].keypair.sk, i, rng.randrange(1 << 32),
+                         rng.getrandbits(256))
+        shifted = replace(vote, signature=eddsa.Signature(vote.signature.r,
+                                                          vote.signature.s + L))
+        assert nodes[0].on_vote(shifted) == (False, "invalid-signature")
+        assert nodes[0].on_vote(vote) == (True, None)
+
+
 def test_on_vote_rejects_wrong_key_for_index():
     contract, nodes = committee_with_contract()
     vote = make_vote(nodes[2].keypair.sk, 3, 0, 123)  # signed with 2's key
