@@ -12,7 +12,7 @@ implied by the public inputs; that is what keeps the event log replayable.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import circuits, curve
@@ -23,6 +23,7 @@ from .errors import (AlreadyExiting, AlreadySlashed, CommitteeFull, CorruptLog,
                      ExitTimeNotReached, FeeTooLow, InsufficientStake, InvalidInput,
                      InvalidProof, NoCommittee, NotAggregator, NotExiting, NotOwner,
                      OracleError, RequestNotPending, RequestPending, StakeTooLow)
+from .field import P
 from .merkle import (Account, MerkleProof, StateTree, empty_account, leaf_hash,
                      proof_index, verify_proof)
 from .mimc import mimc_hash
@@ -301,6 +302,8 @@ class Contract:
             request = self._pending(p["request_id"])
             if p["agg_index"] != self.get_aggregator():
                 raise NotAggregator(f"index {p['agg_index']} is not the aggregator")
+            if not 0 <= p["block_hash"] < P:
+                raise InvalidInput(f"block hash {p['block_hash']} outside [0, P)")
             voters = flagged_indices(p["validator_bits"])
             if p["validator_bits"] < 0 or len(voters) != params.threshold \
                     or not self.owner_of.keys() >= set(voters):
@@ -407,18 +410,18 @@ def apply_reward_updates(tree: StateTree, agg_index: int, validator_bits: int,
                          agg_reward: int, val_reward: int) -> None:
     """Credit the aggregator then each flagged validator."""
     agg = tree.account(agg_index)
-    tree.set_account(agg_index, replace(agg, balance=agg.balance + agg_reward))
+    tree.set_account(agg_index, Account(agg_index, agg.pubkey, agg.balance + agg_reward))
     for index in flagged_indices(validator_bits):
         account = tree.account(index)
-        tree.set_account(index, replace(account, balance=account.balance + val_reward))
+        tree.set_account(index, Account(index, account.pubkey, account.balance + val_reward))
 
 
 def apply_slash_transfer(tree: StateTree, agg_index: int, val_index: int) -> None:
     """Move the victim's whole balance to the aggregator."""
     victim = tree.account(val_index)
-    tree.set_account(val_index, replace(victim, balance=0))
+    tree.set_account(val_index, Account(val_index, victim.pubkey, 0))
     agg = tree.account(agg_index)
-    tree.set_account(agg_index, replace(agg, balance=agg.balance + victim.balance))
+    tree.set_account(agg_index, Account(agg_index, agg.pubkey, agg.balance + victim.balance))
 
 
 def apply_event_to_tree(tree: StateTree, event: Event,

@@ -4,6 +4,10 @@ Leaves commit to (index, pubkey.x, pubkey.y, balance); unoccupied slots all
 carry the same empty leaf hash(0,0,0,0) so an all-empty tree of depth D is the
 D-fold self-hash of that constant.  Direction bits in a proof are the binary
 decomposition of the leaf index, LSB first (0 = node is the left child).
+
+Writes are lazy: set_account stores the account and marks its leaf dirty, and
+the next read of root, prove or copy rehashes every dirty node once, so a batch
+of k writes costs at most k leaf hashes plus one hash per distinct ancestor.
 """
 
 from dataclasses import dataclass
@@ -62,9 +66,10 @@ def verify_proof(root: int, proof: MerkleProof) -> bool:
 
 
 class StateTree:
-    """Fixed-capacity (2^depth) account tree with all internal nodes cached.
+    """Fixed-capacity (2^depth) account tree that caches every node hash.
 
-    Single writer at a time; use copy() to snapshot for witness building.
+    Writes only mark leaves dirty; root, prove and copy rehash first.  Single
+    writer at a time; use copy() to snapshot for witness building.
     """
 
     def __init__(self, depth: int = 8):
@@ -79,9 +84,11 @@ class StateTree:
             below = self.levels[d]
             node = mimc_hash([below[0], below[0]])
             self.levels.append([node] * (len(below) // 2))
+        self._dirty = set()  # leaf indices written since the last rehash
 
     @property
     def root(self) -> int:
+        self._rehash()
         return self.levels[self.depth][0]
 
     def account(self, index: int) -> Account:
@@ -91,27 +98,17 @@ class StateTree:
     def occupied_indices(self):
         return [i for i, a in enumerate(self.accounts) if not a.is_empty()]
 
-    def set_account(self, index: int, account: Account) -> int:
-        """Replace a leaf and rehash its path; returns the new root."""
+    def set_account(self, index: int, account: Account) -> None:
+        """Replace a leaf and mark it dirty; hashing waits for the next read."""
         self._check_index(index)
         if account.index != index:
             raise IndexMismatch(f"account.index {account.index} != leaf position {index}")
         self.accounts[index] = account
-        node = EMPTY_LEAF if account.is_empty() else leaf_hash(account)
-        pos = index
-        for d in range(self.depth):
-            self.levels[d][pos] = node
-            sibling = self.levels[d][pos ^ 1]
-            if pos & 1:
-                node = mimc_hash([sibling, node])
-            else:
-                node = mimc_hash([node, sibling])
-            pos >>= 1
-        self.levels[self.depth][0] = node
-        return node
+        self._dirty.add(index)
 
     def prove(self, index: int) -> MerkleProof:
         self._check_index(index)
+        self._rehash()
         path = []
         directions = []
         pos = index
@@ -122,12 +119,31 @@ class StateTree:
         return MerkleProof(self.levels[0][index], tuple(path), tuple(directions))
 
     def copy(self) -> "StateTree":
+        """An independent tree with the same accounts and no pending writes."""
+        self._rehash()
         dup = StateTree.__new__(StateTree)
         dup.depth = self.depth
         dup.capacity = self.capacity
         dup.accounts = list(self.accounts)
         dup.levels = [list(level) for level in self.levels]
+        dup._dirty = set()
         return dup
+
+    def _rehash(self) -> None:
+        """Hash each dirty leaf, then each internal node above one, bottom up."""
+        if not self._dirty:
+            return
+        leaves = self.levels[0]
+        for i in self._dirty:
+            account = self.accounts[i]
+            leaves[i] = EMPTY_LEAF if account.is_empty() else leaf_hash(account)
+        positions = self._dirty
+        for d in range(self.depth):
+            below, above = self.levels[d], self.levels[d + 1]
+            positions = {i >> 1 for i in positions}
+            for pos in positions:
+                above[pos] = mimc_hash([below[2 * pos], below[2 * pos + 1]])
+        self._dirty = set()
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.capacity:

@@ -12,7 +12,7 @@ from typing import Optional
 from . import circuits, eddsa
 from .circuits import AGGREGATION, SLASH, Proof, check_aggregation, check_slash
 from .contract import Params, apply_event_to_tree, apply_slash_transfer
-from .errors import CorruptLog, OracleError
+from .errors import CorruptLog, InvalidInput, OracleError
 from .eddsa import Signature
 from .field import P
 from .merkle import StateTree
@@ -49,9 +49,12 @@ def encode_vote(vote: Vote) -> bytes:
 def decode_vote(data: bytes) -> Vote:
     if len(data) != 144:
         raise OracleError(f"vote record must be 144 bytes, got {len(data)}")
+    block_hash = int.from_bytes(data[16:48], "big")
+    if block_hash >= P:
+        raise InvalidInput(f"block hash {block_hash} outside [0, P)")
     return Vote(int.from_bytes(data[:8], "big"),
                 int.from_bytes(data[8:16], "big"),
-                int.from_bytes(data[16:48], "big"),
+                block_hash,
                 eddsa.decode_signature(data[48:]))
 
 
@@ -157,10 +160,13 @@ class OracleNode:
     # -- aggregator side ------------------------------------------------------
 
     def on_vote(self, vote: Vote):
-        """Accept into the mempool iff the vote is fresh and authenticated by
-        the key registered at its index.  Returns (accepted, reason)."""
+        """Accept into the mempool iff the vote names a block hash in [0, P),
+        is fresh and is authenticated by the key registered at its index.
+        Returns (accepted, reason)."""
         if not 0 <= vote.validator_index < self.params.capacity:
             return False, "index-out-of-range"
+        if not 0 <= vote.block_hash < P:
+            return False, "block-hash-out-of-range"
         account = self.local_tree.account(vote.validator_index)
         if account.is_empty():
             return False, "unregistered-validator"

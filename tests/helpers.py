@@ -6,8 +6,11 @@ from functools import cache
 from zkoracle import eddsa
 from zkoracle.curve import (_EXT_IDENTITY, A, D, GENERATOR, IDENTITY, L, Point,
                             _ext_add, _ext_double, _to_ext)
+from zkoracle.errors import IndexMismatch, IndexOutOfRange
 from zkoracle.field import P
-from zkoracle.merkle import Account, StateTree
+from zkoracle.merkle import (EMPTY_LEAF, Account, MerkleProof, StateTree,
+                             empty_account, leaf_hash)
+from zkoracle.mimc import mimc_hash
 from zkoracle.nodes import make_vote
 
 
@@ -97,3 +100,53 @@ def ref_scalar_mul_base(k):
             acc = _ext_add(acc, power)
         k >>= 1
     return _ref_from_ext(acc)
+
+
+# -- reference account tree ---------------------------------------------------------
+# The eager form the lazy StateTree replaced: every write rehashes its whole path
+# at once.  root and prove must equal StateTree's after any sequence of writes.
+
+
+class RefTree:
+    """Account tree that rehashes a leaf's path on every set_account."""
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.capacity = 1 << depth
+        self.accounts = [empty_account(i) for i in range(self.capacity)]
+        self.levels = [[EMPTY_LEAF] * self.capacity]
+        for d in range(depth):
+            below = self.levels[d]
+            node = mimc_hash([below[0], below[0]])
+            self.levels.append([node] * (len(below) // 2))
+
+    @property
+    def root(self):
+        return self.levels[self.depth][0]
+
+    def set_account(self, index, account):
+        if not 0 <= index < self.capacity:
+            raise IndexOutOfRange(f"index {index} outside capacity {self.capacity}")
+        if account.index != index:
+            raise IndexMismatch(f"account.index {account.index} != leaf position {index}")
+        self.accounts[index] = account
+        node = EMPTY_LEAF if account.is_empty() else leaf_hash(account)
+        pos = index
+        for d in range(self.depth):
+            self.levels[d][pos] = node
+            sibling = self.levels[d][pos ^ 1]
+            node = mimc_hash([sibling, node]) if pos & 1 else mimc_hash([node, sibling])
+            pos >>= 1
+        self.levels[self.depth][0] = node
+
+    def prove(self, index):
+        path = tuple(self.levels[d][(index >> d) ^ 1] for d in range(self.depth))
+        directions = tuple((index >> d) & 1 for d in range(self.depth))
+        return MerkleProof(self.levels[0][index], path, directions)
+
+    def copy(self):
+        dup = RefTree.__new__(RefTree)
+        dup.depth, dup.capacity = self.depth, self.capacity
+        dup.accounts = list(self.accounts)
+        dup.levels = [list(level) for level in self.levels]
+        return dup

@@ -6,16 +6,18 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import honest_votes
+from helpers import RefTree, honest_votes
 from zkoracle import circuits, eddsa
 from zkoracle.circuits import AGGREGATION, build_aggregation_witness, prove
-from zkoracle.contract import (Contract, Params, dump_events, dump_log,
-                               parse_events, parse_log, replay)
+from zkoracle.contract import (Contract, Params, apply_slash_transfer, dump_events,
+                               dump_log, parse_events, parse_log, replay)
 from zkoracle.errors import (AlreadyExiting, AlreadySlashed, CommitteeFull,
                              CorruptLog, ExitTimeNotReached, FeeTooLow,
-                             InsufficientStake, InvalidProof, NoCommittee,
-                             NotAggregator, NotExiting, NotOwner,
+                             InsufficientStake, InvalidInput, InvalidProof,
+                             NoCommittee, NotAggregator, NotExiting, NotOwner,
                              RequestNotPending, RequestPending, StakeTooLow)
+from zkoracle.field import P
+from zkoracle.merkle import Account
 from zkoracle.nodes import make_vote
 
 P4 = Params(depth=2)
@@ -283,6 +285,52 @@ def test_submit_block_happy_path():
     assert contract.account(0).balance == 100 + 50 + 10
     assert contract.account(1).balance == 110
     assert contract.account(3).balance == 100
+
+
+def test_credits_keep_keys_and_pay_a_voting_aggregator_twice():
+    # request 1 is answered by aggregator 1, whose own vote is among the bits
+    contract = Contract(P4)
+    keys = fresh_keys(4)
+    register_all(contract, keys)
+    for request_id in (0, 1):
+        contract.request_block("client", 10, contract.params.request_fee)
+        answer_request(contract, keys, request_id)
+    assert contract.requests[1].agg_index == 1
+    assert contract.requests[1].validator_bits == 0b0111
+    balances = [100 + 50 + 10 + 10, 100 + 10 + 50 + 10, 100 + 10 + 10, 100]
+    shadow = RefTree(2)
+    for i, kp in enumerate(keys):
+        assert contract.account(i) == Account(i, kp.pk, balances[i])
+        shadow.set_account(i, Account(i, kp.pk, balances[i]))
+    assert contract.state_root == shadow.root
+
+    # a slash reads the victim before the aggregator: a self-slash zeroes the
+    # balance and then credits it back instead of doubling it
+    tree = contract.tree_snapshot()
+    apply_slash_transfer(tree, 1, 2)
+    assert tree.account(2) == Account(2, keys[2].pk, 0)
+    assert tree.account(1) == Account(1, keys[1].pk, 170 + 120)
+    apply_slash_transfer(tree, 1, 1)
+    assert tree.account(1) == Account(1, keys[1].pk, 170 + 120)
+
+
+def test_submit_block_rejects_block_hash_outside_field():
+    # votes signed for 123 verify for 123 + P, so the circuit accepts them
+    # relabelled; the contract must not record a hash no source block has
+    contract = Contract(P4)
+    keys = fresh_keys(4)
+    register_all(contract, keys)
+    contract.request_block("client", 10, contract.params.request_fee)
+    votes = [replace(v, block_hash=123 + P) for v in honest_votes(keys, range(3), 0, 123)]
+    public, witness = build_aggregation_witness(
+        contract.tree_snapshot(), 0, votes, 0, 123 + P, 50, 10)
+    proof = prove("transparent", AGGREGATION, public, witness)
+    log_before = dump_log(contract)
+    with pytest.raises(InvalidInput):
+        contract.submit_block("owner-0", 0, 123 + P, public.validator_bits,
+                              public.post_state_root, proof)
+    assert dump_log(contract) == log_before
+    assert contract.requests[0].status == "pending"
 
 
 def test_submit_block_resubmission_rejected():

@@ -10,6 +10,7 @@ from zkoracle import eddsa
 from zkoracle.contract import (Contract, Params, apply_slash_transfer, dump_log,
                                parse_log, replay)
 from zkoracle.errors import CorruptLog, InvalidInput
+from zkoracle.field import P
 from zkoracle.selfcheck import _exercise_membership
 from zkoracle.simnet import ScenarioConfig, run_scenario
 
@@ -120,6 +121,18 @@ def test_slash_crediting_a_non_answering_aggregator_is_corrupt():
                                              post_state_root=tree.root))
     with pytest.raises(CorruptLog):
         replay(events[:k] + [forged], params)
+
+
+def test_block_hash_outside_field_is_corrupt():
+    run = run_scenario(ScenarioConfig(depth=2, committee=4, rounds=1, seed=8))
+    params, events = parse_log(dump_log(run.contract))
+    k = next(i for i, e in enumerate(events) if e.kind == "BlockSubmitted")
+    assert replay(events, params).state_root == run.contract.state_root
+    submitted = events[k].payload
+    relabelled = replace(events[k], payload=dict(
+        submitted, block_hash=submitted["block_hash"] + P))
+    with pytest.raises(CorruptLog):
+        replay(events[:k] + [relabelled] + events[k + 1:], params)
 
 
 # -- seeded fuzz ---------------------------------------------------------------------

@@ -9,8 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import build_committee
-from zkoracle import eddsa
+from helpers import RefTree, build_committee
+from zkoracle import eddsa, merkle
 from zkoracle.errors import IndexMismatch, IndexOutOfRange, InvalidProof
 from zkoracle.merkle import (EMPTY_LEAF, Account, MerkleProof, StateTree,
                              dump_snapshot, empty_account, leaf_hash,
@@ -190,3 +190,109 @@ def test_snapshot_roundtrip():
     loaded = load_snapshot(text, depth=3)
     assert loaded.root == tree.root
     assert load_snapshot("", depth=3).root == StateTree(3).root
+
+
+# -- lazy rehash against the eager reference -------------------------------------------
+
+
+def _random_account(rng, index, keys):
+    if rng.random() < 0.2:
+        return empty_account(index)
+    return Account(index, rng.choice(keys).pk, rng.randint(0, 1000))
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_lazy_tree_matches_eager_reference(depth):
+    # random writes (repeats, empty accounts, both end leaves) interleaved with
+    # root / prove / copy reads on a growing set of copies; every read must see
+    # the reference's root and every one of its proofs
+    rng = random.Random(4000 + depth)
+    keys = [eddsa.keygen(bytes([k + 1]) * 32) for k in range(4)]
+    last = (1 << depth) - 1
+    pairs = [(StateTree(depth), RefTree(depth))]
+    previous = 0
+    for step in range(120):
+        tree, ref = rng.choice(pairs)
+        action = rng.choice(("write", "write", "write", "root", "prove", "copy"))
+        if action == "write":
+            index = rng.choice((0, last, previous, rng.randint(0, last)))
+            account = _random_account(rng, index, keys)
+            tree.set_account(index, account)
+            ref.set_account(index, account)
+            previous = index
+            continue
+        if action == "root":
+            assert tree.root == ref.root, f"step {step}"
+        elif action == "prove":
+            index = rng.randint(0, last)
+            assert tree.prove(index) == ref.prove(index), f"step {step}"
+        elif len(pairs) < 4:
+            pairs.append((tree.copy(), ref.copy()))
+        else:
+            pairs[rng.randrange(len(pairs))] = (tree.copy(), ref.copy())
+        assert tree.root == ref.root, f"step {step}"
+        for index in range(last + 1):
+            assert tree.prove(index) == ref.prove(index), f"step {step} leaf {index}"
+            assert tree.account(index) == ref.accounts[index]
+    for tree, ref in pairs:
+        assert tree.root == ref.root
+
+
+def test_copy_with_pending_writes_is_isolated_both_ways():
+    tree, keys = build_committee(3, count=2)
+    ref = RefTree(3)
+    for i in range(2):
+        ref.set_account(i, tree.account(i))
+    tree.set_account(5, Account(5, keys[0].pk, 55))
+    ref.set_account(5, Account(5, keys[0].pk, 55))
+    dup, ref_dup = tree.copy(), ref.copy()
+    dup.set_account(6, Account(6, keys[1].pk, 66))
+    ref_dup.set_account(6, Account(6, keys[1].pk, 66))
+    tree.set_account(1, empty_account(1))
+    ref.set_account(1, empty_account(1))
+    assert tree.root == ref.root
+    assert dup.root == ref_dup.root
+    assert tree.account(6).is_empty()
+    assert dup.account(1) == Account(1, keys[1].pk, 100)
+    assert dup.account(5) == tree.account(5)
+
+
+def _counting_hashes(monkeypatch):
+    calls = []
+    real = merkle.mimc_hash
+    monkeypatch.setattr(merkle, "mimc_hash", lambda xs: calls.append(1) or real(xs))
+    return calls
+
+
+def test_rehash_hashes_each_dirty_node_once(monkeypatch):
+    tree = StateTree(8)
+    kp = eddsa.keygen(b"\x04" * 32)
+    calls = _counting_hashes(monkeypatch)
+    for i in range(256):
+        tree.set_account(i, Account(i, kp.pk, i))
+    assert calls == []
+    root = tree.root
+    assert len(calls) == 256 + 255  # every leaf, then every internal node
+    assert tree.root == root
+    tree.prove(7)
+    assert len(calls) == 511  # reads of a clean tree hash nothing
+    calls.clear()
+    tree.set_account(3, Account(3, kp.pk, 1))
+    tree.set_account(3, Account(3, kp.pk, 2))
+    tree.copy()
+    assert len(calls) == 1 + 8  # the leaf once, then its eight ancestors
+
+
+def test_rejected_write_leaves_no_dirty_mark(monkeypatch):
+    tree, keys = build_committee(2)
+    root = tree.root
+    calls = _counting_hashes(monkeypatch)
+    with pytest.raises(IndexMismatch):
+        tree.set_account(1, Account(2, keys[0].pk, 10))
+    with pytest.raises(IndexOutOfRange):
+        tree.set_account(4, Account(4, keys[0].pk, 10))
+    with pytest.raises(IndexOutOfRange):
+        tree.set_account(-1, Account(-1, keys[0].pk, 10))
+    assert tree.root == root
+    assert calls == []
+    assert tree.account(1) == Account(1, keys[1].pk, 100)

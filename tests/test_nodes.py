@@ -8,7 +8,8 @@ import pytest
 from zkoracle import eddsa
 from zkoracle.contract import Contract, Params, apply_slash_transfer
 from zkoracle.curve import L
-from zkoracle.errors import CorruptLog
+from zkoracle.errors import CorruptLog, InvalidInput
+from zkoracle.field import P
 from zkoracle.nodes import (Mempool, OracleNode, check_finality, decode_vote,
                             encode_vote, make_vote, vote_message)
 from zkoracle.simnet import MockChain, ScenarioConfig, run_scenario
@@ -192,11 +193,27 @@ def test_on_vote_rejects_non_canonical_s():
     contract, nodes = committee_with_contract()
     for i in range(1, 4):
         vote = make_vote(nodes[i].keypair.sk, i, rng.randrange(1 << 32),
-                         rng.getrandbits(256))
+                         rng.randrange(P))
         shifted = replace(vote, signature=eddsa.Signature(vote.signature.r,
                                                           vote.signature.s + L))
         assert nodes[0].on_vote(shifted) == (False, "invalid-signature")
         assert nodes[0].on_vote(vote) == (True, None)
+
+
+def test_on_vote_rejects_block_hash_outside_field():
+    # the vote message reduces its inputs mod P, so a vote signed for h also
+    # verifies for h + P; the relabelled copy must not take the canonical slot
+    contract, nodes = committee_with_contract()
+    for i in range(1, 4):
+        vote = make_vote(nodes[i].keypair.sk, i, 0, 123)
+        for bad in (123 + P, -1):
+            relabelled = replace(vote, block_hash=bad)
+            assert nodes[0].on_vote(relabelled) == (False, "block-hash-out-of-range")
+        assert nodes[0].on_vote(vote) == (True, None)
+    with pytest.raises(InvalidInput):
+        decode_vote(encode_vote(replace(vote, block_hash=123 + P)))
+    assert decode_vote(encode_vote(replace(vote, block_hash=P - 1))).block_hash == P - 1
+    assert nodes[0].try_submit(0).block_hash == 123
 
 
 def test_on_vote_rejects_wrong_key_for_index():
