@@ -225,8 +225,10 @@ class Contract:
             raise NotAggregator(f"{caller} is not the current aggregator")
         self._pending(request_id)
         randomized = self.params.aggregator_mode == RANDOMIZED
-        if randomized and next_seed is None:
-            raise InvalidProof("randomized rotation requires the next seed point")
+        # the reducer repeats these checks; running them first spares a
+        # submission they refuse the proof's re-execution
+        self._check_submission(block_hash, validator_bits,
+                               next_seed if randomized else None)
 
         public = AggregationPublic(self.state_root, post_state_root, block_hash,
                                    request_id, validator_bits,
@@ -302,19 +304,8 @@ class Contract:
             request = self._pending(p["request_id"])
             if p["agg_index"] != self.get_aggregator():
                 raise NotAggregator(f"index {p['agg_index']} is not the aggregator")
-            if not 0 <= p["block_hash"] < P:
-                raise InvalidInput(f"block hash {p['block_hash']} outside [0, P)")
-            voters = flagged_indices(p["validator_bits"])
-            if p["validator_bits"] < 0 or len(voters) != params.threshold \
-                    or not self.owner_of.keys() >= set(voters):
-                raise InvalidInput("validator bits must flag t registered members")
-            randomized = params.aggregator_mode == RANDOMIZED
-            if ("seed_x" in p) != randomized:
-                raise InvalidInput("a seed point goes with randomized rotation only")
-            seed = curve.require_on_curve(Point(p["seed_x"], p["seed_y"])) \
-                if randomized else None
-            if self.escrow < params.request_fee:
-                raise InvalidInput("escrow cannot cover the submission rewards")
+            seed = Point(p["seed_x"], p["seed_y"]) if "seed_x" in p else None
+            self._check_submission(p["block_hash"], p["validator_bits"], seed)
             self._tree = self._updated_tree(event)
             request.status = ANSWERED
             request.answer_hash = p["block_hash"]
@@ -322,7 +313,7 @@ class Contract:
             request.agg_index = p["agg_index"]
             self.escrow -= params.request_fee
             self.aggregator_cursor = (p["agg_index"] + 1) % params.capacity
-            if randomized:
+            if seed is not None:
                 self.seed_point = seed
                 self.timeout_count = 0
         elif kind == SLASHED:
@@ -340,6 +331,28 @@ class Contract:
                 self.timeout_count += 1
         self.now = event.time
         self.events.append(event)
+
+    def _check_submission(self, block_hash: int, validator_bits: int,
+                          seed: Optional[Point]) -> None:
+        """The BLOCK_SUBMITTED checks that need no proof: the hash is a field
+        element, the bits flag t registered members, a seed point comes with
+        randomized rotation only and lies on the curve, and the escrow covers
+        the rewards."""
+        params = self.params
+        if not 0 <= block_hash < P:
+            raise InvalidInput(f"block hash {block_hash} outside [0, P)")
+        # bits at or above capacity are rejected without scanning them, so a
+        # hostile million-bit value costs no quadratic scan
+        voters = flagged_indices(validator_bits & ((1 << params.capacity) - 1))
+        if validator_bits < 0 or validator_bits >> params.capacity \
+                or len(voters) != params.threshold or not self.owner_of.keys() >= set(voters):
+            raise InvalidInput("validator bits must flag t registered members")
+        if (seed is not None) != (params.aggregator_mode == RANDOMIZED):
+            raise InvalidInput("a seed point goes with randomized rotation only")
+        if seed is not None:
+            curve.require_on_curve(seed)
+        if self.escrow < params.request_fee:
+            raise InvalidInput("escrow cannot cover the submission rewards")
 
     def _updated_tree(self, event: Event) -> StateTree:
         """A copy of the tree with a proof-gated event applied; InvalidProof

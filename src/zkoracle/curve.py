@@ -7,14 +7,21 @@ fixed-base comb agrees with the variable-base multiplier.
 
 Scalar multiplication runs in extended coordinates (Hisil, Wong, Carter,
 Dawson, *Twisted Edwards curves revisited*, 2008), so the only inversion is
-the one that returns the affine result.  Both multipliers cut the scalar into
-4-bit windows (Bernstein et al., *High-speed high-security signatures*, 2012):
+the one that returns the affine result.  Both multipliers are combs:
 
 - ``scalar_mul_base`` reads a fixed-base comb built once at import, row i
-  holding j * 16^i * G for j < 16, so k*G is one addition per nonzero window
-  and no doubling;
-- ``scalar_mul`` builds the 15 multiples of its point per call and then
-  doubles four times and adds one table entry per window.
+  holding j * 16^i * G for j < 16, so k*G is one addition per nonzero 4-bit
+  window and no doubling (Bernstein et al., *High-speed high-security
+  signatures*, 2012);
+- ``scalar_mul`` reads a Lim-Lee comb of its point (Lim, Lee, *More flexible
+  exponentiation with precomputation*, CRYPTO '94): k < L is cut into 5 rows
+  of 51 bits, and the point's 32-entry table holds every sum of 2^(51 i) * p
+  over a subset of the rows, so k*p is 51 doublings and at most 51 additions.
+  Tables are affine (x, y, d*x*y) triples, one batched inversion per table,
+  about 8 KB per point, and an LRU cache keeps 512 of them: the points
+  multiplied are committee keys, which recur from one request to the next.
+  A point seen once pays the 204 doublings of its table on top, which is
+  about what the per-call 4-bit windows it replaced cost.
 
 Affine ``add`` shares one inversion of (1 + dxy)(1 - dxy) between both
 coordinates.  Inverses come from ``pow(z, -1, P)`` (extended Euclid, about ten
@@ -125,25 +132,77 @@ def _ext_double(p):
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
+# -- variable-base comb ---------------------------------------------------------
+# Lim-Lee with 5 teeth: k < L has 251 bits, cut into 5 rows of 51 columns, and
+# entry j of a point's table is the sum of 2^(51 i) * p over the set bits i of j.
+
+_TEETH = 5
+_COLUMNS = -(-L.bit_length() // _TEETH)
+_COLUMN_MASK = (1 << _COLUMNS) - 1
+
+
+@lru_cache(maxsize=1 << 9)  # two full depth-8 committees
+def _comb_table(p: Point) -> tuple:
+    """The 32 comb entries of p as affine (x, y, D*x*y), built with 204
+    doublings, 26 additions and one batched inversion."""
+    teeth = [_to_ext(p)]
+    for _ in range(_TEETH - 1):
+        e = teeth[-1]
+        for _ in range(_COLUMNS):
+            e = _ext_double(e)
+        teeth.append(e)
+    ext = [_EXT_IDENTITY]
+    for tooth in teeth:
+        ext += [tooth] + [_ext_add(e, tooth) for e in ext[1:]]
+    # normalise every entry with one inversion of the product of all Zs; an
+    # off-curve p can make a Z zero, which zeroes every entry instead of raising
+    prefix = [1]
+    for e in ext:
+        prefix.append(prefix[-1] * e[2] % P)
+    inv = _inverse(prefix[-1])
+    table = [None] * len(ext)
+    for j in range(len(ext) - 1, -1, -1):
+        x, y, z, _ = ext[j]
+        zinv = inv * prefix[j] % P
+        inv = inv * z % P
+        x, y = x * zinv % P, y * zinv % P
+        table[j] = (x, y, D * x % P * y % P)
+    return tuple(table)
+
+
+def _ext_add_affine(p, q):
+    """p + q for extended p and a comb entry q = (x, y, D*x*y), i.e. Z = 1."""
+    x1, y1, z1, t1 = p
+    x2, y2, dt2 = q
+    a = x1 * x2 % P
+    b = y1 * y2 % P
+    c = t1 * dt2 % P
+    e = ((x1 + y1) * (x2 + y2) - a - b) % P
+    f = (z1 - c) % P
+    g = (z1 + c) % P
+    h = (b - A * a) % P
+    return (e * f % P, g * h % P, f * g % P, e * h % P)
+
+
 # protocol hot paths re-verify identical signatures (mempool, witness check,
 # proof re-execution); both multiplications are pure, so memoize them
 @lru_cache(maxsize=1 << 14)
 def scalar_mul(k: int, p: Point) -> Point:
-    """k*P for any point; fixed 4-bit windows, most significant first."""
+    """k*P for any point: one doubling and at most one addition per comb
+    column, most significant first, over p's cached table."""
     k %= L
     if k == 0:
         return IDENTITY
-    table = [_EXT_IDENTITY, _to_ext(p)]
-    for _ in range(14):
-        table.append(_ext_add(table[-1], table[1]))
-    shift = (k.bit_length() - 1) // 4 * 4
-    acc = table[k >> shift]
-    while shift:
-        shift -= 4
-        acc = _ext_double(_ext_double(_ext_double(_ext_double(acc))))
-        digit = (k >> shift) & 15
-        if digit:
-            acc = _ext_add(acc, table[digit])
+    table = _comb_table(p)
+    rows = [(k >> (i * _COLUMNS)) & _COLUMN_MASK for i in range(_TEETH)]
+    acc = _EXT_IDENTITY
+    for col in range(_COLUMNS - 1, -1, -1):
+        acc = _ext_double(acc)
+        j = 0
+        for i, row in enumerate(rows):
+            j |= (row >> col & 1) << i
+        if j:
+            acc = _ext_add_affine(acc, table[j])
     return _from_ext(acc)
 
 

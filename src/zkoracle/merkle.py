@@ -19,7 +19,7 @@ from .mimc import mimc_hash
 ZERO_POINT = Point(0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Account:
     index: int
     pubkey: Point
@@ -40,7 +40,7 @@ def leaf_hash(account: Account) -> int:
 EMPTY_LEAF = leaf_hash(empty_account(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MerkleProof:
     leaf: int
     path: tuple        # sibling hashes, leaf level first

@@ -11,11 +11,13 @@ from zkoracle import circuits, eddsa
 from zkoracle.circuits import AGGREGATION, build_aggregation_witness, prove
 from zkoracle.contract import (Contract, Params, apply_slash_transfer, dump_events,
                                dump_log, parse_events, parse_log, replay)
+from zkoracle.curve import Point
 from zkoracle.errors import (AlreadyExiting, AlreadySlashed, CommitteeFull,
                              CorruptLog, ExitTimeNotReached, FeeTooLow,
                              InsufficientStake, InvalidInput, InvalidProof,
                              NoCommittee, NotAggregator, NotExiting, NotOwner,
-                             RequestNotPending, RequestPending, StakeTooLow)
+                             OracleError, RequestNotPending, RequestPending,
+                             StakeTooLow)
 from zkoracle.field import P
 from zkoracle.merkle import Account
 from zkoracle.nodes import make_vote
@@ -375,7 +377,8 @@ def test_submit_block_bad_proof_rejected():
 
 
 def test_submit_block_underfull_bits_rejected():
-    # a witness with a duplicated vote index never verifies
+    # a witness with a duplicated vote index flags only two members, which
+    # the contract refuses before it verifies the proof, atomically
     contract = Contract(P4)
     keys = fresh_keys(4)
     register_all(contract, keys)
@@ -397,8 +400,65 @@ def test_submit_block_underfull_bits_rejected():
     public = circuits.AggregationPublic(pre, work.root, 777, 0, 0b011)
     witness = circuits.AggregationWitness(agg_account, agg_proof, tuple(witnesses))
     proof = prove("transparent", AGGREGATION, public, witness)
-    with pytest.raises(InvalidProof):
+    log_before = dump_log(contract)
+    with pytest.raises(InvalidInput):
         contract.submit_block("owner-0", 0, 777, 0b011, public.post_state_root, proof)
+    assert dump_log(contract) == log_before
+    assert contract.requests[0].status == "pending"
+
+
+class CountingBackend(circuits.TransparentBackend):
+    def __init__(self):
+        super().__init__()
+        self.verify_calls = 0
+
+    def verify(self, circuit_id, public, proof):
+        self.verify_calls += 1
+        return super().verify(circuit_id, public, proof)
+
+
+def test_submit_block_cheap_rejections_skip_verification():
+    # every submission the contract can refuse without the proof is refused
+    # before the proof is re-executed, and leaves the log as it was
+    for mode in ("round_robin", "randomized"):
+        backend = CountingBackend()
+        contract = Contract(Params(depth=2, aggregator_mode=mode), backend)
+        keys = fresh_keys(4)
+        register_all(contract, keys[:3])
+        contract.request_block("client", 10, contract.params.request_fee)
+        randomized = mode == "randomized"
+        seed = contract.seed_point if randomized else None
+        agg = contract.get_aggregator()
+        votes = honest_votes(keys, range(3), 0, 777)
+        public, witness = build_aggregation_witness(
+            contract.tree_snapshot(), agg, votes, 0, 777, 50, 10, seed=seed,
+            aggregator_secret=keys[agg].sk)
+        proof = prove("transparent", AGGREGATION, public, witness)
+        good = dict(caller=contract.owner_of[agg], request_id=0, block_hash=777,
+                    validator_bits=public.validator_bits,
+                    post_state_root=public.post_state_root, proof=proof,
+                    next_seed=public.next_seed)
+        cases = [dict(block_hash=777 + P), dict(block_hash=-1),
+                 dict(validator_bits=0b011), dict(validator_bits=0b1111),
+                 dict(validator_bits=0b1011), dict(validator_bits=-0b111),
+                 dict(validator_bits=(1 << 100_000) | 0b111),
+                 dict(caller=contract.owner_of[(agg + 1) % 3]), dict(request_id=1)]
+        if randomized:
+            cases += [dict(next_seed=None), dict(next_seed=Point(1, 1))]
+        log_before = dump_log(contract)
+        for change in cases:
+            with pytest.raises(OracleError):
+                contract.submit_block(**{**good, **change})
+            assert backend.verify_calls == 0, change
+            assert dump_log(contract) == log_before, change
+        contract.escrow = 0  # no transaction can leave a pending request unfunded
+        with pytest.raises(InvalidInput):
+            contract.submit_block(**good)
+        assert backend.verify_calls == 0
+        contract.escrow = contract.params.request_fee
+        contract.submit_block(**good)
+        assert backend.verify_calls == 1
+        assert contract.requests[0].status == "answered"
 
 
 # -- slash ---------------------------------------------------------------------------------

@@ -58,19 +58,69 @@ def test_scalar_mul_distributes():
 # -- fast kernels against the reference forms in helpers.py ---------------------
 
 TORSION = [IDENTITY, Point(0, P - 1)]  # (0, 1) and the point of order 2
+ORDER_8 = Point(
+    17545522957889784193459637215142187266023652151580582754000402781682644312291,
+    4826523245007015323400664741523384119579596407052839571721035538011798951543)
 
 
 def test_kernels_match_reference():
     rng = random.Random(17)
-    scalars = [0, 1, 2, L - 1, L, L + 1, 1 << 256, (1 << 256) + 1, (1 << 300) + 12345,
-               (1 << 512) - 1] + [rng.randrange(1 << 256) for _ in range(40)]
-    points = [GENERATOR] + [ref_scalar_mul_base(rng.randrange(1, L)) for _ in range(3)]
-    points += TORSION + [ref_add(GENERATOR, t) for t in TORSION]
+    scalars = [0, 1, 2, L - 1, L, L + 1, 1 << 256, (1 << 256) - 1, (1 << 256) + 1,
+               (1 << 300) + 12345, (1 << 512) - 1]
+    scalars += [rng.randrange(1 << 256) for _ in range(40)]
     for k in scalars:
         assert scalar_mul_base(k) == ref_scalar_mul_base(k), k
-    for pt in points:
-        for k in scalars[:10] + rng.sample(scalars[10:], 8):
-            assert scalar_mul(k, pt) == ref_scalar_mul(k, pt), (k, pt)
+
+    # prime-order keys, torsion points and keys shifted out of the subgroup
+    # by one, each reused with many scalars so its comb table is read warm
+    assert is_on_curve(ORDER_8)
+    assert naive_mul(4, ORDER_8) != IDENTITY and naive_mul(8, ORDER_8) == IDENTITY
+    keys = [GENERATOR] + [ref_scalar_mul_base(rng.randrange(1, L)) for _ in range(3)]
+    points = keys + TORSION + [ORDER_8] + [ref_add(pk, t) for pk in keys[:2]
+                                           for t in TORSION[1:] + [ORDER_8]]
+    expected = {(k, pt): ref_scalar_mul(k, pt) for pt in points
+                for k in scalars[:11] + rng.sample(scalars[11:], 8)}
+    for _ in range(2):  # from empty caches, then again after refilling them
+        curve._comb_table.cache_clear()
+        scalar_mul.cache_clear()
+        for (k, pt), product in expected.items():
+            assert scalar_mul(k, pt) == product, (k, pt)
+
+    # off the curve the result is garbage but still a point; (0, 0) doubles
+    # to Z = 0, which zeroes its whole table through the batched inversion
+    assert curve._ext_double(curve._to_ext(Point(0, 0)))[2] == 0
+    off = [Point(0, 0), Point(1, 1), Point(rng.randrange(P), rng.randrange(P))]
+    for pt in off:
+        assert not is_on_curve(pt)
+        for k in scalars[:11]:
+            assert isinstance(scalar_mul(k, pt), Point), (k, pt)
+
+
+def test_comb_doubles_once_per_column_and_builds_one_table_per_point(monkeypatch):
+    rng = random.Random(22)
+    keys = [scalar_mul_base(rng.randrange(1, L)) for _ in range(512)]
+    curve._comb_table.cache_clear()
+    scalar_mul.cache_clear()
+    for _ in range(2):  # two full depth-8 committees, every key checked twice
+        for pk in keys:
+            scalar_mul(rng.randrange(1, L), pk)
+    info = curve._comb_table.cache_info()
+    assert (info.misses, info.hits) == (512, 512)
+
+    doublings = 0
+    ext_double = curve._ext_double
+
+    def counting_double(e):
+        nonlocal doublings
+        doublings += 1
+        return ext_double(e)
+
+    monkeypatch.setattr(curve, "_ext_double", counting_double)
+    scalar_mul(rng.randrange(1, L), keys[0])  # warm: one doubling per column
+    assert doublings == curve._COLUMNS == 51
+    doublings = 0
+    scalar_mul(rng.randrange(1, L), ORDER_8)  # cold: 4 teeth of 51 doublings first
+    assert doublings == 5 * 51
 
 
 def test_add_matches_reference_on_and_off_curve():
