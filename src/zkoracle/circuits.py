@@ -128,6 +128,23 @@ class ConstraintMeter:
         if a == b:
             self._fail(site)
 
+    def assert_distinct(self, values, site: str) -> None:
+        """assert_ne on every ordered pair (i, j), i != j, of values: t(t-1)
+        constraints, evaluated in one pass.  Values compare as dict keys, so
+        1, 1.0 and True are one value.  The first failing pair in (i, j) loop
+        order is i, the first position whose value recurs, and j, the next
+        position holding that value."""
+        t = len(values)
+        self.count += t * (t - 1)
+        first = {}
+        pair = None
+        for j, value in enumerate(values):
+            i = first.setdefault(value, j)
+            if i != j and (pair is None or i < pair[0]):
+                pair = (i, j)
+        if pair:
+            self._fail(f"{site}[{pair[0]},{pair[1]}]")
+
     def mimc(self, inputs) -> int:
         h = 0
         for x in inputs:
@@ -211,11 +228,12 @@ def check_aggregation(public: AggregationPublic, witness: AggregationWitness,
                       val_reward: int = DEFAULT_VAL_REWARD) -> ConstraintReport:
     """Run the aggregation circuit over exactly t votes.
 
-    Sequence: pairwise-distinct vote indices; aggregator membership against
-    the pre-state root and its reward update; per vote, membership against
-    the running root, message hash, signature check, claimed-hash equality,
-    reward update and bit accumulation; final equality of the accumulated
-    validator bits and the running root with the public inputs.
+    Sequence: pairwise-distinct vote indices, which cost t(t-1) constraints
+    and are evaluated in O(t); aggregator membership against the pre-state
+    root and its reward update; per vote, membership against the running
+    root, message hash, signature check, claimed-hash equality, reward update
+    and bit accumulation; final equality of the accumulated validator bits
+    and the running root with the public inputs.
     """
     depth = len(witness.aggregator_proof.path)
     t = threshold(depth)
@@ -224,12 +242,7 @@ def check_aggregation(public: AggregationPublic, witness: AggregationWitness,
         raise WrongVoteCount(f"aggregation circuit arity is {t}, got {len(votes)} votes")
 
     cs = ConstraintMeter()
-    for i in range(t):
-        for j in range(t):
-            if i == j:
-                continue
-            cs.assert_ne(votes[i].account.index, votes[j].account.index,
-                         f"duplicate-vote[{i},{j}]")
+    cs.assert_distinct([v.account.index for v in votes], "duplicate-vote")
 
     agg = witness.aggregator_account
     bits = _membership(cs, public.pre_state_root, agg, witness.aggregator_proof,
@@ -301,7 +314,8 @@ def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
     root = _updated_root(cs, agg, agg.balance + deducted,
                          witness.aggregator_proof, abits, "aggregator")
 
-    cs.assert_ne(public.block_hash, victim.claimed_block_hash, "dissent")
+    # the circuit sees the claimed hash as a field element: h + P is a vote for h
+    cs.assert_ne(public.block_hash, victim.claimed_block_hash % P, "dissent")
     cs.assert_eq(root, public.post_state_root, "post-state-root")
     return cs.report()
 
@@ -364,7 +378,7 @@ def _stage_aggregation(tree, agg_index, votes, request_id, block_hash, agg_rewar
 def build_slash_witness(tree: StateTree, agg_index: int, victim_vote, request_id: int,
                         majority_hash: int):
     """Stage a slash instance; the victim's vote must dissent from the answer."""
-    if victim_vote.block_hash == majority_hash:
+    if victim_vote.block_hash % P == majority_hash:
         raise NotSlashable("vote matches the majority answer")
 
     work = tree.copy()
@@ -396,6 +410,8 @@ def _point_obj(p: Point):
 
 
 def _point_from(obj) -> Point:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError("a point is a list of two coordinates")
     return Point(int(obj[0]), int(obj[1]))
 
 
@@ -439,6 +455,8 @@ def aggregation_witness_to_obj(w: AggregationWitness):
 
 
 def aggregation_witness_from_obj(obj) -> AggregationWitness:
+    if not isinstance(obj, dict):
+        raise TypeError("a witness is a JSON object")
     secret = obj.get("aggregator_secret")
     return AggregationWitness(
         _account_from(obj["aggregator"]),
@@ -500,7 +518,10 @@ class TransparentBackend:
                 report = check_slash(public, slash_witness_from_obj(obj))
             else:
                 raise UnknownBackend(f"unknown circuit: {circuit_id}")
-        except (KeyError, ValueError, TypeError, WrongVoteCount):
+        # RecursionError: json.loads on deeply nested arrays; OverflowError:
+        # int() of the Infinity that json.loads accepts
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError,
+                WrongVoteCount):
             return False
         return report.ok
 

@@ -10,7 +10,7 @@ metrics and event logs.
 import heapq
 import json
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import eddsa
@@ -171,11 +171,6 @@ class ScenarioConfig:
                               "label the scenario with expect_violation")
         if self.stakes is not None and len(self.stakes) != self.committee:
             raise ConfigError("stakes list must match the committee size")
-
-    def to_json(self) -> str:
-        obj = asdict(self)
-        obj["adversaries"] = {str(k): v for k, v in self.adversaries.items()}
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import json
 import random
 from functools import cache
 
@@ -30,6 +31,21 @@ def build_committee(depth, count=None, stakes=None, key_salt=0):
 
 def honest_votes(keys, indices, request_id, block_hash):
     return [make_vote(keys[i].sk, i, request_id, block_hash) for i in indices]
+
+
+def hostile_payloads(payload):
+    """Mutants of a proof payload that once escaped verification with
+    RecursionError, AttributeError, IndexError or OverflowError, plus a point
+    with a third coordinate; every one must verify False."""
+    mutants = [b"[" * 200000, b"[]", b"null", b"1", b'"aggregator"']
+    for coords in (1, 3):
+        obj = json.loads(payload)
+        obj["aggregator"]["pubkey"] = (obj["aggregator"]["pubkey"] * 2)[:coords]
+        mutants.append(json.dumps(obj).encode())
+    obj = json.loads(payload)
+    obj["aggregator"]["balance"] = float("inf")  # encoded as Infinity
+    mutants.append(json.dumps(obj).encode())
+    return mutants
 
 
 def random_occupied_tree(rng: random.Random, depth, keys, min_occupied):
@@ -100,6 +116,19 @@ def ref_scalar_mul_base(k):
             acc = _ext_add(acc, power)
         k >>= 1
     return _ref_from_ext(acc)
+
+
+# -- reference duplicate-vote check -------------------------------------------------
+# The quadratic loop ConstraintMeter.assert_distinct replaced: ok, count and
+# failure_site must come out equal for every list of values.
+
+
+def ref_assert_distinct(cs, values, site):
+    """assert_ne on every ordered pair (i, j), i != j, in loop order."""
+    for i in range(len(values)):
+        for j in range(len(values)):
+            if i != j:
+                cs.assert_ne(values[i], values[j], f"{site}[{i},{j}]")
 
 
 # -- reference account tree ---------------------------------------------------------

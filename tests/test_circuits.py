@@ -5,16 +5,18 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import build_committee, honest_votes, random_occupied_tree
+from helpers import (build_committee, honest_votes, hostile_payloads,
+                     random_occupied_tree, ref_assert_distinct)
 from zkoracle import curve, eddsa
 from zkoracle.circuits import (AGGREGATION, SLASH, AggregationPublic,
-                               AggregationWitness, VoteWitness,
+                               AggregationWitness, ConstraintMeter, VoteWitness,
                                aggregation_witness_from_obj,
                                aggregation_witness_to_obj,
                                build_aggregation_witness, build_slash_witness,
                                check_aggregation, check_slash, prove, threshold,
                                verify)
 from zkoracle.errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
+from zkoracle.field import P
 from zkoracle.merkle import Account
 from zkoracle.nodes import make_vote
 
@@ -98,6 +100,40 @@ def test_duplicate_vote_index_fails():
     report = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
     assert not report.ok
     assert report.failure_site.startswith("duplicate-vote")
+
+
+def _distinct_reports(values):
+    fast, ref = ConstraintMeter(), ConstraintMeter()
+    fast.assert_distinct(values, "duplicate-vote")
+    ref_assert_distinct(ref, values, "duplicate-vote")
+    return fast.report(), ref.report()
+
+
+def test_duplicate_check_matches_quadratic_reference():
+    rng = random.Random(41)
+    t = threshold(8)
+    cases = [
+        [], [7], [3, 1, 2],                     # no duplicates
+        [4, 9, 4],                              # one pair
+        [5, 3, 7, 3, 5, 1],                     # several: the earliest i wins, not the first j
+        [6, 0, 1, 2, 6], [0, 1, 2, 3, 2],       # duplicate in the first / last position
+        [8, 4, 8, 8], [2, 8, 4, 8, 8],          # three copies of one index
+        [2, 1, 1.0], [True, 0, 1], [1.0, 5, True, 1], [0, False, 0.0],  # equal across types
+        list(range(t)),
+        rng.sample(range(1 << 8), t),
+    ]
+    for _ in range(4):                          # t = 129 votes with planted duplicates
+        values = rng.sample(range(1 << 8), t)
+        for _ in range(rng.randint(1, 3)):
+            values[rng.randrange(t)] = values[rng.randrange(t)]
+        cases.append(values)
+    for _ in range(200):                        # short lists over a small alphabet
+        cases.append([rng.randrange(6) for _ in range(rng.randint(2, 9))])
+    for values in cases:
+        fast, ref = _distinct_reports(values)
+        assert fast == ref, values
+    assert _distinct_reports([5, 3, 7, 3, 5, 1])[0].failure_site == "duplicate-vote[0,4]"
+    assert _distinct_reports(list(range(t)))[0].constraint_count == t * (t - 1)
 
 
 def test_underfull_popcount_cannot_be_accepted():
@@ -305,6 +341,22 @@ def test_slash_equal_hash_fails_dissent_site():
     assert report.failure_site == "dissent"
 
 
+def test_slash_relabelled_majority_vote_fails_dissent_site():
+    # a vote for 666 also verifies as a vote for 666 + P, which the circuit
+    # sees as the same field element: it agrees with the answer
+    tree, keys = build_committee(2)
+    vote = make_vote(keys[2].sk, 2, 9, 666)
+    relabelled = replace(vote, block_hash=666 + P)
+    with pytest.raises(NotSlashable):
+        build_slash_witness(tree, 0, relabelled, 9, 666)
+    public, witness = build_slash_witness(tree, 0, replace(vote, block_hash=555), 9, 666)
+    forced = replace(witness, victim=replace(witness.victim, claimed_block_hash=666 + P))
+    report = check_slash(public, forced)
+    assert not report.ok
+    assert report.failure_site == "dissent"
+    assert report.constraint_count == check_slash(public, witness).constraint_count
+
+
 def test_slash_forged_signature_fails():
     tree, keys = build_committee(2)
     vote = make_vote(keys[2].sk, 2, 9, 555)
@@ -357,6 +409,19 @@ def test_unknown_backend_and_circuit():
         prove("groth16", AGGREGATION, public, witness)
     with pytest.raises(UnknownBackend):
         prove("transparent", "nonsense", public, witness)
+
+
+def test_verify_rejects_hostile_payloads_without_raising():
+    tree, keys, _, public, witness = honest_instance()
+    proof = prove("transparent", AGGREGATION, public, witness)
+    s_public, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888),
+                                              5, 777)
+    s_proof = prove("transparent", SLASH, s_public, s_witness)
+    for circuit, pub, good in ((AGGREGATION, public, proof), (SLASH, s_public, s_proof)):
+        assert verify("transparent", circuit, pub, good)
+        for payload in hostile_payloads(good.payload):
+            bad = replace(good, payload=payload)
+            assert verify("transparent", circuit, pub, bad) is False, payload[:40]
 
 
 def test_witness_serialization_roundtrip():

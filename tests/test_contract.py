@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import RefTree, honest_votes
+from helpers import RefTree, honest_votes, hostile_payloads
 from zkoracle import circuits, eddsa
 from zkoracle.circuits import AGGREGATION, build_aggregation_witness, prove
 from zkoracle.contract import (Contract, Params, apply_slash_transfer, dump_events,
@@ -16,7 +16,7 @@ from zkoracle.errors import (AlreadyExiting, AlreadySlashed, CommitteeFull,
                              CorruptLog, ExitTimeNotReached, FeeTooLow,
                              InsufficientStake, InvalidInput, InvalidProof,
                              NoCommittee, NotAggregator, NotExiting, NotOwner,
-                             OracleError, RequestNotPending, RequestPending,
+                             NotSlashable, OracleError, RequestNotPending, RequestPending,
                              StakeTooLow)
 from zkoracle.field import P
 from zkoracle.merkle import Account
@@ -533,6 +533,53 @@ def test_slash_bound_to_the_answering_aggregator():
         contract.slash("owner-0", 0, 3, public.post_state_root, proof)
     assert contract.state_root == root
     assert not contract.slashed
+
+
+def test_slash_of_a_relabelled_majority_vote_rejected():
+    # member 1 voted for the answer 777; its signature also verifies for
+    # 777 + P, but that is the same field element, so the vote does not dissent
+    contract, keys, _, _, _ = slashable_setup()
+    assert contract.requests[0].answer_hash == 777
+    honest = make_vote(keys[1].sk, 1, 0, 777)
+    with pytest.raises(NotSlashable):
+        circuits.build_slash_witness(contract.tree_snapshot(), 0,
+                                     replace(honest, block_hash=777 + P), 0, 777)
+    public, witness = circuits.build_slash_witness(
+        contract.tree_snapshot(), 0, replace(honest, block_hash=888), 0, 777)
+    witness = replace(witness, victim=replace(witness.victim, claimed_block_hash=777 + P))
+    proof = prove("transparent", "slash", public, witness)
+    log, balance = dump_log(contract), contract.account(1).balance
+    with pytest.raises(InvalidProof):
+        contract.slash("owner-0", 0, 1, public.post_state_root, proof)
+    assert dump_log(contract) == log
+    assert contract.account(1).balance == balance > 0
+
+
+def test_hostile_proof_payloads_raise_invalid_proof():
+    contract = Contract(P4)
+    keys = fresh_keys(4)
+    register_all(contract, keys)
+    contract.request_block("client", 10, contract.params.request_fee)
+    votes = honest_votes(keys, range(3), 0, 777)
+    public, witness = build_aggregation_witness(
+        contract.tree_snapshot(), 0, votes, 0, 777, 50, 10)
+    proof = prove("transparent", AGGREGATION, public, witness)
+    log = dump_log(contract)
+    for payload in hostile_payloads(proof.payload):
+        with pytest.raises(InvalidProof):
+            contract.submit_block("owner-0", 0, 777, public.validator_bits,
+                                  public.post_state_root, replace(proof, payload=payload))
+        assert dump_log(contract) == log
+
+    contract, _, _, s_public, s_proof = slashable_setup()
+    log = dump_log(contract)
+    for payload in hostile_payloads(s_proof.payload):
+        with pytest.raises(InvalidProof):
+            contract.slash("owner-0", 0, 3, s_public.post_state_root,
+                           replace(s_proof, payload=payload))
+        assert dump_log(contract) == log
+    contract.slash("owner-0", 0, 3, s_public.post_state_root, s_proof)
+    assert contract.account(3).balance == 0
 
 
 # -- replay and event log --------------------------------------------------------------------

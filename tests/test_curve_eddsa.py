@@ -140,17 +140,65 @@ def test_add_matches_reference_on_and_off_curve():
     assert add(*zero_plus).x == 0 and add(*zero_minus).y == 0
 
 
-def test_corrupt_comb_table_fails_the_import_check(monkeypatch):
-    corrupt = [list(row) for row in curve._BASE_COMB]
-    digit = (curve._CHECK_SCALAR % L >> 4 * 40) & 15  # the entry row 40 gives
-    corrupt[40][digit] = curve._ext_double(corrupt[40][digit])
-    monkeypatch.setattr(curve, "_BASE_COMB", corrupt)
-    scalar_mul_base.cache_clear()
-    try:
-        with pytest.raises(InvalidPoint):
-            curve._check_parameters()
-    finally:
+def signed_digits(k):
+    """The fixed-base comb's signed window digits of k mod L, row by row."""
+    k %= L
+    rest, carry, digits = k, 0, []
+    for _ in range(curve._BASE_ROWS):
+        value = (rest & curve._WINDOW_MASK) + carry
+        rest >>= curve._WINDOW
+        carry = int(value > curve._HALF)
+        digits.append(value - (carry << curve._WINDOW))
+    assert rest == carry == 0
+    assert sum(d << curve._WINDOW * i for i, d in enumerate(digits)) == k
+    return digits
+
+
+def test_signed_comb_matches_reference_through_every_carry():
+    w, rows = curve._WINDOW, curve._BASE_ROWS
+    half, full = 1 << (w - 1), (1 << w) - 1
+
+    def from_windows(windows, top):
+        return sum(v << w * i for i, v in enumerate(windows)) + (top << w * (rows - 1))
+
+    rng = random.Random(23)
+    patterns = [[half] * (rows - 1), [full] * (rows - 1), [full] + [half] * (rows - 2)]
+    patterns += [[rng.choice((half, full)) for _ in range(rows - 1)] for _ in range(6)]
+    scalars = [from_windows(p, top) for p in patterns for top in (0, 22)]
+    assert all(k < L for k in scalars)  # the windows survive k %= L
+    # a window of 63 takes the carry in to 64: a zero digit that carries again
+    assert signed_digits(from_windows([full] * (rows - 1), 0)) == [-1] + [0] * (rows - 2) + [1]
+    scalars += [0, 1, L - 1, L, L + 1, (1 << 251) - 1, (1 << 256) - 1]
+    for k in scalars:
         scalar_mul_base.cache_clear()
+        assert scalar_mul_base(k) == ref_scalar_mul_base(k), hex(k)
+
+
+def test_check_scalars_read_every_row_with_both_signs():
+    plus, minus = (signed_digits(k) for k in curve._CHECK_SCALARS)
+    for row, (a, b) in enumerate(zip(plus[:-1], minus[:-1])):
+        assert a * b < 0 and abs(a) == abs(b), row
+    assert plus[-1] == minus[-1] > 0
+
+
+def test_corrupt_comb_table_fails_the_import_check(monkeypatch):
+    # each check scalar alone catches a corrupt entry at row 40, the first
+    # reading it positively and the second negated
+    for k, sign in zip(curve._CHECK_SCALARS, (1, -1)):
+        digit = signed_digits(k)[40]
+        assert digit * sign > 0
+        corrupt = [list(row) for row in curve._BASE_COMB]
+        entry = abs(digit) - 1
+        corrupt[40][entry] = corrupt[40][entry ^ 1]
+        monkeypatch.setattr(curve, "_BASE_COMB", corrupt)
+        monkeypatch.setattr(curve, "_CHECK_SCALARS", (k,))
+        scalar_mul_base.cache_clear()
+        try:
+            with pytest.raises(InvalidPoint):
+                curve._check_parameters()
+        finally:
+            monkeypatch.undo()
+            scalar_mul_base.cache_clear()
 
 
 def test_point_codec():
