@@ -8,6 +8,12 @@ the report carries ok/failure-site.  Constraint counts use a fixed cost model
 (1 per multiplication-equivalent: 3 per MiMC round, 7 per curve addition) and
 therefore depend only on (circuit, D, t), never on witness values.
 
+The payouts the aggregation circuit credits, AGG_REWARD to the aggregator and
+VAL_REWARD to each of the t voters, are constants of the circuit, as they
+would be of a SNARK's verifying key; no caller can choose other values.  The
+event log's params header restates them, and a log that states other values
+is corrupt.
+
 The default proof backend is transparent: the proof is the serialized witness
 and verification re-executes the circuit against the claimed public inputs.
 That is complete and sound by construction but explicitly not zero-knowledge;
@@ -26,8 +32,8 @@ from .field import P
 from .merkle import Account, MerkleProof, StateTree
 from .mimc import ROUNDS, permute
 
-DEFAULT_AGG_REWARD = 50
-DEFAULT_VAL_REWARD = 10
+AGG_REWARD = 50
+VAL_REWARD = 10
 
 COST_MIMC_PERMUTE = 3 * ROUNDS
 COST_POINT_ADD = 7
@@ -208,7 +214,7 @@ def _membership(cs: ConstraintMeter, root: int, account: Account,
 
 
 def _updated_root(cs: ConstraintMeter, account: Account, new_balance: int,
-                  proof: MerkleProof, bits, site: str) -> int:
+                  proof: MerkleProof, bits) -> int:
     new_leaf = _leaf(cs, account, new_balance)
     return _fold(cs, new_leaf, proof.path, bits)
 
@@ -223,9 +229,8 @@ def _verify_sig(cs: ConstraintMeter, pk: Point, msg: int, sig: Signature, site: 
     cs.assert_eq(lhs.y, rhs.y, f"{site}.sig-y")
 
 
-def check_aggregation(public: AggregationPublic, witness: AggregationWitness,
-                      agg_reward: int = DEFAULT_AGG_REWARD,
-                      val_reward: int = DEFAULT_VAL_REWARD) -> ConstraintReport:
+def check_aggregation(public: AggregationPublic,
+                      witness: AggregationWitness) -> ConstraintReport:
     """Run the aggregation circuit over exactly t votes.
 
     Sequence: pairwise-distinct vote indices, which cost t(t-1) constraints
@@ -247,8 +252,7 @@ def check_aggregation(public: AggregationPublic, witness: AggregationWitness,
     agg = witness.aggregator_account
     bits = _membership(cs, public.pre_state_root, agg, witness.aggregator_proof,
                        depth, "aggregator")
-    root = _updated_root(cs, agg, agg.balance + agg_reward,
-                         witness.aggregator_proof, bits, "aggregator")
+    root = _updated_root(cs, agg, agg.balance + AGG_REWARD, witness.aggregator_proof, bits)
 
     mask = (1 << depth) - 1
     actual_bits = 0
@@ -261,8 +265,8 @@ def check_aggregation(public: AggregationPublic, witness: AggregationWitness,
         # the decomposition above already constrains the index to D bits;
         # masking only keeps the host-side shift bounded for bad witnesses
         actual_bits += 1 << (v.account.index & mask)
-        root = _updated_root(cs, v.account, v.account.balance + val_reward,
-                             v.merkle_proof, vbits, site)
+        root = _updated_root(cs, v.account, v.account.balance + VAL_REWARD,
+                             v.merkle_proof, vbits)
 
     if public.seed is not None:
         _check_rotation(cs, public, witness)
@@ -308,11 +312,10 @@ def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
     _verify_sig(cs, victim.account.pubkey, msg, victim.signature, "victim")
 
     deducted = victim.account.balance
-    root = _updated_root(cs, victim.account, 0, victim.merkle_proof, vbits, "victim")
+    root = _updated_root(cs, victim.account, 0, victim.merkle_proof, vbits)
 
     abits = _membership(cs, root, agg, witness.aggregator_proof, depth, "aggregator")
-    root = _updated_root(cs, agg, agg.balance + deducted,
-                         witness.aggregator_proof, abits, "aggregator")
+    root = _updated_root(cs, agg, agg.balance + deducted, witness.aggregator_proof, abits)
 
     # the circuit sees the claimed hash as a field element: h + P is a vote for h
     cs.assert_ne(public.block_hash, victim.claimed_block_hash % P, "dissent")
@@ -321,10 +324,7 @@ def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
 
 
 def build_aggregation_witness(tree: StateTree, agg_index: int, votes, request_id: int,
-                              block_hash: int,
-                              agg_reward: int = DEFAULT_AGG_REWARD,
-                              val_reward: int = DEFAULT_VAL_REWARD,
-                              seed: Optional[Point] = None,
+                              block_hash: int, seed: Optional[Point] = None,
                               aggregator_secret: Optional[int] = None):
     """Stage proofs in circuit execution order against a snapshot of the tree.
 
@@ -340,11 +340,11 @@ def build_aggregation_witness(tree: StateTree, agg_index: int, votes, request_id
     if any(v.block_hash != block_hash for v in votes):
         raise MixedVotes("all packaged votes must claim the submitted block hash")
     return _stage_aggregation(tree, agg_index, votes, request_id, block_hash,
-                              agg_reward, val_reward, seed, aggregator_secret)
+                              seed, aggregator_secret)
 
 
-def _stage_aggregation(tree, agg_index, votes, request_id, block_hash, agg_reward,
-                       val_reward, seed=None, aggregator_secret=None):
+def _stage_aggregation(tree, agg_index, votes, request_id, block_hash,
+                       seed=None, aggregator_secret=None):
     """The staging half of build_aggregation_witness, without its guards, so
     the brute-force soundness check can package votes the circuit must reject."""
     work = tree.copy()
@@ -352,7 +352,7 @@ def _stage_aggregation(tree, agg_index, votes, request_id, block_hash, agg_rewar
 
     agg_account = work.account(agg_index)
     agg_proof = work.prove(agg_index)
-    work.set_account(agg_index, replace(agg_account, balance=agg_account.balance + agg_reward))
+    work.set_account(agg_index, replace(agg_account, balance=agg_account.balance + AGG_REWARD))
 
     bits = 0
     vote_witnesses = []
@@ -361,7 +361,7 @@ def _stage_aggregation(tree, agg_index, votes, request_id, block_hash, agg_rewar
         proof = work.prove(v.validator_index)
         vote_witnesses.append(VoteWitness(account, proof, v.signature, v.block_hash))
         work.set_account(v.validator_index,
-                         replace(account, balance=account.balance + val_reward))
+                         replace(account, balance=account.balance + VAL_REWARD))
         bits |= 1 << v.validator_index
 
     next_seed = None
@@ -491,11 +491,6 @@ class TransparentBackend:
 
     backend_id = "transparent"
 
-    def __init__(self, agg_reward: int = DEFAULT_AGG_REWARD,
-                 val_reward: int = DEFAULT_VAL_REWARD):
-        self.agg_reward = agg_reward
-        self.val_reward = val_reward
-
     def prove(self, circuit_id: str, public, witness) -> Proof:
         if circuit_id == AGGREGATION:
             obj = aggregation_witness_to_obj(witness)
@@ -512,8 +507,7 @@ class TransparentBackend:
         try:
             obj = json.loads(proof.payload)
             if circuit_id == AGGREGATION:
-                report = check_aggregation(public, aggregation_witness_from_obj(obj),
-                                           self.agg_reward, self.val_reward)
+                report = check_aggregation(public, aggregation_witness_from_obj(obj))
             elif circuit_id == SLASH:
                 report = check_slash(public, slash_witness_from_obj(obj))
             else:

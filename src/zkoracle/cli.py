@@ -77,10 +77,9 @@ def scaling_row(size: int) -> dict:
     request_id = 1
     t = params.threshold
     votes = [make_vote(keys[i].sk, i, request_id, block_hash) for i in range(t)]
-    public, witness = circuits.build_aggregation_witness(
-        tree, 0, votes, request_id, block_hash, params.agg_reward, params.val_reward)
-    agg_report = check_aggregation(public, witness, params.agg_reward,
-                                   params.val_reward)
+    public, witness = circuits.build_aggregation_witness(tree, 0, votes, request_id,
+                                                         block_hash)
+    agg_report = check_aggregation(public, witness)
     agg_proof = circuits.prove("transparent", AGGREGATION, public, witness)
 
     dissent = make_vote(keys[size - 1].sk, size - 1, request_id,

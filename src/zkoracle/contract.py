@@ -12,12 +12,12 @@ implied by the public inputs; that is what keeps the event log replayable.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional
 
 from . import circuits, curve
-from .circuits import (AGGREGATION, SLASH, AggregationPublic, Proof, SlashPublic,
-                       TransparentBackend)
+from .circuits import (AGG_REWARD, AGGREGATION, SLASH, VAL_REWARD, AggregationPublic,
+                       Proof, SlashPublic, TransparentBackend)
 from .curve import Point
 from .errors import (AlreadyExiting, AlreadySlashed, CommitteeFull, CorruptLog,
                      ExitTimeNotReached, FeeTooLow, InsufficientStake, InvalidInput,
@@ -28,6 +28,7 @@ from .merkle import (Account, MerkleProof, StateTree, empty_account, leaf_hash,
                      proof_index, verify_proof)
 from .mimc import mimc_hash
 
+MIN_STAKE = 100
 EXIT_DELAY = 7 * 24 * 3600  # two-step departure: announce, then wait this long
 
 MAX_BALANCE = 1 << 128  # balances stay far below P so additions never wrap
@@ -41,12 +42,16 @@ ANSWERED = "answered"
 
 @dataclass(frozen=True)
 class Params:
+    """The settings a deployment chooses.  The stake floor, the exit delay and
+    the circuit's payouts are constants; they read as attributes so the log
+    header can state them."""
     depth: int = 8
-    min_stake: int = 100
-    val_reward: int = 10
-    agg_reward: int = 50
-    exit_delay: int = EXIT_DELAY
     aggregator_mode: str = ROUND_ROBIN
+
+    min_stake: ClassVar[int] = MIN_STAKE
+    val_reward: ClassVar[int] = VAL_REWARD
+    agg_reward: ClassVar[int] = AGG_REWARD
+    exit_delay: ClassVar[int] = EXIT_DELAY
 
     @property
     def capacity(self) -> int:
@@ -59,7 +64,7 @@ class Params:
     @property
     def request_fee(self) -> int:
         """The minimum fee, which is exactly what one submission pays out."""
-        return self.agg_reward + self.threshold * self.val_reward
+        return AGG_REWARD + self.threshold * VAL_REWARD
 
 
 @dataclass
@@ -98,7 +103,7 @@ EVENT_KINDS = (REGISTERED, REPLACED, EXITED, WITHDRAWN, BLOCK_REQUESTED,
 class Contract:
     def __init__(self, params: Params = Params(), backend=None):
         self.params = params
-        self.backend = backend or TransparentBackend(params.agg_reward, params.val_reward)
+        self.backend = backend or TransparentBackend()
         self._tree = StateTree(params.depth)
         self.owner_of = {}
         self.ip_of = {}
@@ -280,7 +285,7 @@ class Contract:
             curve.require_on_curve(Point(p["pubkey_x"], p["pubkey_y"]))
             if not 0 <= p["stake"] < MAX_BALANCE:
                 raise InvalidInput(f"stake {p['stake']} outside [0, 2^128)")
-            apply_event_to_tree(self._tree, event, params.agg_reward, params.val_reward)
+            apply_event_to_tree(self._tree, event)
             self.owner_of[p["index"]] = p["owner"]
             self.ip_of[p["index"]] = p["ip"]
             self.exit_time_of.pop(p["index"], None)
@@ -289,7 +294,7 @@ class Contract:
             self.exit_time_of[p["index"]] = p["exit_time"]
         elif kind == WITHDRAWN:
             self._require_member(p["index"])
-            apply_event_to_tree(self._tree, event, params.agg_reward, params.val_reward)
+            apply_event_to_tree(self._tree, event)
             del self.owner_of[p["index"]]
             del self.ip_of[p["index"]]
             self.exit_time_of.pop(p["index"], None)
@@ -358,7 +363,7 @@ class Contract:
         """A copy of the tree with a proof-gated event applied; InvalidProof
         unless it reaches the event's post state root."""
         tree = self._tree.copy()
-        apply_event_to_tree(tree, event, self.params.agg_reward, self.params.val_reward)
+        apply_event_to_tree(tree, event)
         if tree.root != event.payload["post_state_root"]:
             raise InvalidProof(f"post root differs from the canonical {event.kind} update")
         return tree
@@ -419,14 +424,13 @@ def flagged_indices(bits: int) -> list:
     return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
-def apply_reward_updates(tree: StateTree, agg_index: int, validator_bits: int,
-                         agg_reward: int, val_reward: int) -> None:
+def apply_reward_updates(tree: StateTree, agg_index: int, validator_bits: int) -> None:
     """Credit the aggregator then each flagged validator."""
     agg = tree.account(agg_index)
-    tree.set_account(agg_index, Account(agg_index, agg.pubkey, agg.balance + agg_reward))
+    tree.set_account(agg_index, Account(agg_index, agg.pubkey, agg.balance + AGG_REWARD))
     for index in flagged_indices(validator_bits):
         account = tree.account(index)
-        tree.set_account(index, Account(index, account.pubkey, account.balance + val_reward))
+        tree.set_account(index, Account(index, account.pubkey, account.balance + VAL_REWARD))
 
 
 def apply_slash_transfer(tree: StateTree, agg_index: int, val_index: int) -> None:
@@ -437,8 +441,7 @@ def apply_slash_transfer(tree: StateTree, agg_index: int, val_index: int) -> Non
     tree.set_account(agg_index, Account(agg_index, agg.pubkey, agg.balance + victim.balance))
 
 
-def apply_event_to_tree(tree: StateTree, event: Event,
-                        agg_reward: int, val_reward: int) -> None:
+def apply_event_to_tree(tree: StateTree, event: Event) -> None:
     """Account-state effect of one event; used by the reducer and node sync."""
     p = event.payload
     if event.kind == REGISTERED or event.kind == REPLACED:
@@ -448,8 +451,7 @@ def apply_event_to_tree(tree: StateTree, event: Event,
     elif event.kind == WITHDRAWN:
         tree.set_account(p["index"], empty_account(p["index"]))
     elif event.kind == BLOCK_SUBMITTED:
-        apply_reward_updates(tree, p["agg_index"], p["validator_bits"],
-                             agg_reward, val_reward)
+        apply_reward_updates(tree, p["agg_index"], p["validator_bits"])
     elif event.kind == SLASHED:
         apply_slash_transfer(tree, p["agg_index"], p["val_index"])
 
@@ -516,6 +518,7 @@ PARAMS_HEADER = "# params"
 _JOINED = dict(index=int, owner=str, ip=str, pubkey_x=int, pubkey_y=int, stake=int)
 # Every field of every log line with its type, keyed by event kind; the
 # params header is keyed by PARAMS_HEADER and lists its fields in line order.
+# The header states Params' constants too, and they must read as this build's.
 LOG_FIELDS = {
     PARAMS_HEADER: dict(depth=int, min_stake=int, val_reward=int, agg_reward=int,
                         exit_delay=int, aggregator_mode=str),
@@ -570,7 +573,12 @@ def parse_log(text: str):
     lines = text.splitlines()
     if lines and lines[0].startswith(PARAMS_HEADER + " "):
         items = lines[0][len(PARAMS_HEADER) + 1:].split(" ")
-        params = Params(**_parse_fields(items, PARAMS_HEADER, "params header"))
+        header = _parse_fields(items, PARAMS_HEADER, "params header")
+        params = Params(**{f.name: header.pop(f.name) for f in fields(Params)})
+        for key, value in header.items():
+            if value != getattr(Params, key):
+                raise CorruptLog(f"params header: {key}={value} differs from the "
+                                 f"constant {getattr(Params, key)}")
         if not 1 <= params.depth <= MAX_LOG_DEPTH:
             raise CorruptLog(f"params header: depth {params.depth} outside "
                              f"[1, {MAX_LOG_DEPTH}]")

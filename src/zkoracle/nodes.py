@@ -126,8 +126,7 @@ class OracleNode:
         self.keypair = keypair
         self.params = params
         self.finality = finality
-        self.backend = backend or circuits.TransparentBackend(
-            params.agg_reward, params.val_reward)
+        self.backend = backend or circuits.TransparentBackend()
         self.index: Optional[int] = None  # assigned when registered on-chain
         self.local_tree = StateTree(params.depth)
         self.last_seq = 0
@@ -141,8 +140,7 @@ class OracleNode:
         for event in events[self.last_seq:]:
             if event.seq != self.last_seq:
                 raise CorruptLog(f"expected seq {self.last_seq}, got {event.seq}")
-            apply_event_to_tree(self.local_tree, event,
-                                self.params.agg_reward, self.params.val_reward)
+            apply_event_to_tree(self.local_tree, event)
             self.last_seq += 1
 
     # -- validator side -----------------------------------------------------
@@ -198,10 +196,8 @@ class OracleNode:
         secret = self.keypair.sk if seed is not None else None
         public, witness = circuits.build_aggregation_witness(
             self.local_tree, self.index, votes, request_id, winner,
-            self.params.agg_reward, self.params.val_reward,
             seed=seed, aggregator_secret=secret)
-        report = check_aggregation(public, witness,
-                                   self.params.agg_reward, self.params.val_reward)
+        report = check_aggregation(public, witness)
         proof = self.backend.prove(AGGREGATION, public, witness)
         return Submission(request_id, winner, public.validator_bits,
                           public.post_state_root, proof, report.constraint_count,

@@ -8,7 +8,6 @@ from itertools import combinations, product
 
 from . import eddsa
 from .circuits import _stage_aggregation, check_aggregation
-from .contract import Params
 from .merkle import Account, StateTree
 from .nodes import make_vote
 from .simnet import ScenarioConfig, run_scenario, verify_run
@@ -37,7 +36,6 @@ def aggregation_brute_force() -> list:
     """
     problems = []
     tree, keys = _small_committee()
-    params = Params(depth=2)
     true_hash = 12345
     wrong_hash = 99999
     request_id = 7
@@ -57,11 +55,9 @@ def aggregation_brute_force() -> list:
                                    False))
             for packaging, distinct in packagings:
                 # unguarded staging: the circuit's own assertions are under test
-                public, witness = _stage_aggregation(
-                    tree, 0, packaging, request_id, answer,
-                    params.agg_reward, params.val_reward)
-                report = check_aggregation(public, witness,
-                                           params.agg_reward, params.val_reward)
+                public, witness = _stage_aggregation(tree, 0, packaging,
+                                                     request_id, answer)
+                report = check_aggregation(public, witness)
                 expected = distinct and all(v.block_hash == answer
                                             for v in packaging)
                 if report.ok != expected:

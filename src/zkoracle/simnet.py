@@ -10,7 +10,7 @@ metrics and event logs.
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import eddsa
@@ -18,7 +18,7 @@ from .contract import RANDOMIZED, Contract, Params, PENDING, conservation_trace
 from .errors import ConfigError
 from .field import P
 from .mimc import mimc_hash
-from .nodes import OracleNode
+from .nodes import OracleNode, make_vote
 
 HONEST = "honest"
 WRONG_HASH = "wrong_hash"
@@ -121,11 +121,6 @@ class MessageBus:
 
 # -- scenario configuration ----------------------------------------------------
 
-_CONFIG_FIELDS = ("name", "depth", "committee", "rounds", "requests_per_round",
-                  "adversaries", "drop_rate", "max_delay", "t_agg", "finality",
-                  "seed", "stakes", "expect_violation", "aggregator_mode")
-
-
 @dataclass
 class ScenarioConfig:
     name: str = "scenario"
@@ -180,7 +175,7 @@ class ScenarioConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(obj) - set(_CONFIG_FIELDS)
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "adversaries" in obj:
@@ -263,8 +258,6 @@ class ScenarioRun:
 def _behavior_plan(behavior: str, node: OracleNode, honest, request_id: int,
                    round_index: int):
     """Votes a node puts on the wire, in send order."""
-    from .nodes import make_vote
-
     if behavior in (HONEST, OFFLINE_AGGREGATOR):
         return [honest]
     if behavior == DUPLICATE_VOTE:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -15,7 +16,7 @@ from zkoracle.circuits import (build_aggregation_witness, build_slash_witness,
 from zkoracle.cli import bundled_scenarios, scaling_row
 from zkoracle.contract import Contract, Params, dump_log, parse_log, replay
 from zkoracle.errors import ExitTimeNotReached, StakeTooLow
-from zkoracle.merkle import Account, StateTree
+from zkoracle.merkle import Account, StateTree, dump_snapshot
 from zkoracle.nodes import make_vote
 from zkoracle.selfcheck import aggregation_brute_force, conservation_suite
 from zkoracle.simnet import ScenarioConfig, run_scenario
@@ -79,9 +80,8 @@ def test_criterion_2_state_transition_oracle():
             voters = sorted(rng.sample(occupied, t))
             agg_index = rng.choice(occupied)
             public, witness = build_aggregation_witness(
-                tree, agg_index, [votes[i] for i in voters], request_id,
-                block_hash, AGG_REWARD, VAL_REWARD)
-            ok = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD).ok
+                tree, agg_index, [votes[i] for i in voters], request_id, block_hash)
+            ok = check_aggregation(public, witness).ok
 
             shadow = tree.copy()
             account = shadow.account(agg_index)
@@ -354,3 +354,55 @@ def test_criterion_9_determinism_and_replay():
     report(9, identical and replayed,
            f"byte-identical reruns: {identical}; replayed roots exact over "
            f"{len(_RUNS)} logs: {replayed}")
+
+
+# -- golden bytes ----------------------------------------------------------------------
+
+# sha256 of metrics.csv + events.log + tree.snapshot, as `zkoracle run` writes
+# them, for each bundled scenario at its own seed
+GOLDEN_DIGESTS = {
+    "attack_majority_n4":
+        "8f48a89a3554c6c666b2d5292a51a0c9838fe5c32b23e3a3b195604892c231fe",
+    "honest_n4":
+        "e5b9757a7071c4bcce4f2c57ad997014a1f557b25ef3b79a0a660ee5ae0fddbe",
+    "liveness_offline_n4":
+        "cbdf6a40f445f9b5abd467d606f72000474eed13bc10e00d11a24c101c759dd2",
+    "liveness_offline_n8":
+        "0986c73680835e6d640e087d0053fd9e77c690358bd4b719b380716a1d67a106",
+    "safety_duplicate_vote_n16":
+        "f46af1208081e1a2b70d41d2e9a15253d81cf098aabd1eabb55c5b6c816094a6",
+    "safety_duplicate_vote_n4":
+        "e7220a6a6418414a5bff9c6962d07d108a0bc4a48b121a9d0268beec2d02098b",
+    "safety_duplicate_vote_n8":
+        "079e2200eb43f7de89dc92104aad554f96ca24440270e6e38345e043e6b987c8",
+    "safety_equivocate_n16":
+        "c1076a580af69dcfae122193baa177937ce84156387ee46d7e05708944becf16",
+    "safety_equivocate_n4":
+        "9f0c61600dadcb50113fe125f0fcc90069667599541fc93e8f1b1d3b468fa0dc",
+    "safety_equivocate_n8":
+        "d182a30fe7e26836094411fc13a5bc70e654efec7ff44605b1ee9b098e6ff5cb",
+    "safety_wrong_hash_n16":
+        "c32c58d0a24d5e24ee380297babfe2ddd2e223f0ce5b686d87824a78ccad1716",
+    "safety_wrong_hash_n4":
+        "f6de4460159c985437fdc738c65667a182f973c10c6aa50566c7f7c9c15ece2b",
+    "safety_wrong_hash_n8":
+        "cf99fb445a0d57b470d2582ce655ddf439973b0f82ca87f9138c0d37f82ea799",
+    "safety_zero_vote_n16":
+        "60396e24d5a98893fd4cf15c6b09c14c470915998c569095334c8f317a044650",
+    "safety_zero_vote_n4":
+        "63e19d46b8b22311edac2dfcdeebbe7cd48ac8a983fa90d541c27bc708a05bfb",
+    "safety_zero_vote_n8":
+        "4b81b270a9ac71b75f4eb0c1bb048c0942047b88214ae0443db2225f16cd8e2f",
+}
+
+
+def test_bundled_scenarios_write_their_golden_bytes():
+    assert sorted(GOLDEN_DIGESTS) == sorted(bundled_scenarios())
+    moved = []
+    for name, expected in GOLDEN_DIGESTS.items():
+        run = bundled_run(name)
+        text = (run.metrics.to_csv() + dump_log(run.contract)
+                + dump_snapshot(run.contract.tree_snapshot()))
+        if hashlib.sha256(text.encode()).hexdigest() != expected:
+            moved.append(name)
+    assert moved == [], f"outputs moved: {moved}"

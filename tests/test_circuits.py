@@ -29,7 +29,7 @@ def honest_instance(depth=2, request_id=5, block_hash=777, agg_index=0, key_salt
     t = threshold(depth)
     votes = honest_votes(keys, range(t), request_id, block_hash)
     public, witness = build_aggregation_witness(tree, agg_index, votes, request_id,
-                                                block_hash, AGG_REWARD, VAL_REWARD)
+                                                block_hash)
     return tree, keys, votes, public, witness
 
 
@@ -45,7 +45,7 @@ def shadow_apply_aggregation(tree, agg_index, voted_indices):
 
 def test_honest_instance_accepts():
     tree, _, votes, public, witness = honest_instance()
-    report = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(public, witness)
     assert report.ok, report.failure_site
     assert public.validator_bits == 0b111
     assert public.post_state_root == shadow_apply_aggregation(
@@ -56,10 +56,9 @@ def test_validator_bits_accumulation():
     # voters 0, 2, 3 at depth 2 force bits 2^0 + 2^2 + 2^3
     tree, keys = build_committee(2)
     votes = honest_votes(keys, [0, 2, 3], 5, 777)
-    public, witness = build_aggregation_witness(tree, 1, votes, 5, 777,
-                                                AGG_REWARD, VAL_REWARD)
+    public, witness = build_aggregation_witness(tree, 1, votes, 5, 777)
     assert public.validator_bits == 0b1101
-    assert check_aggregation(public, witness, AGG_REWARD, VAL_REWARD).ok
+    assert check_aggregation(public, witness).ok
 
 
 def _force(tree, agg_index, votes, request_id, block_hash):
@@ -87,7 +86,7 @@ def test_wrong_claimed_hash_fails_at_blockhash_site():
     votes = honest_votes(keys, [0, 1], 5, 777)
     votes.append(make_vote(keys[2].sk, 2, 5, 778))
     public, witness = _force(tree, 0, votes, 5, 777)
-    report = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(public, witness)
     assert not report.ok
     assert report.failure_site == "vote[2].block-hash"
 
@@ -97,7 +96,7 @@ def test_duplicate_vote_index_fails():
     votes = honest_votes(keys, [0, 1], 5, 777)
     votes.append(votes[0])
     public, witness = _force(tree, 0, votes, 5, 777)
-    report = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(public, witness)
     assert not report.ok
     assert report.failure_site.startswith("duplicate-vote")
 
@@ -142,14 +141,14 @@ def test_underfull_popcount_cannot_be_accepted():
     votes = honest_votes(keys, [0, 1], 5, 777) + honest_votes(keys, [1], 5, 777)
     public, witness = _force(tree, 0, votes, 5, 777)
     assert bin(public.validator_bits).count("1") == 2
-    report = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(public, witness)
     assert not report.ok
 
 
 def test_wrong_declared_bits_fails():
     _, _, _, public, witness = honest_instance()
     tampered = replace(public, validator_bits=0b1011)
-    report = check_aggregation(tampered, witness, AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(tampered, witness)
     assert not report.ok
     assert report.failure_site == "validator-bits"
 
@@ -160,8 +159,7 @@ def test_tampered_signature_fails():
                               (witness.votes[1].signature.s + 1) % curve.L)
     bad_votes = list(witness.votes)
     bad_votes[1] = replace(bad_votes[1], signature=bad_sig)
-    report = check_aggregation(public, replace(witness, votes=tuple(bad_votes)),
-                               AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(public, replace(witness, votes=tuple(bad_votes)))
     assert not report.ok
     assert report.failure_site == "vote[1].sig-x"
 
@@ -188,15 +186,13 @@ def _with_off_curve_r(vote_witness):
 def test_off_curve_vote_key_or_r_fails_on_curve_site():
     tree, keys = _with_off_curve_key(1)
     votes = honest_votes(keys, range(3), 5, 777)
-    public, witness = build_aggregation_witness(tree, 0, votes, 5, 777,
-                                                AGG_REWARD, VAL_REWARD)
-    bad_key = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
+    public, witness = build_aggregation_witness(tree, 0, votes, 5, 777)
+    bad_key = check_aggregation(public, witness)
 
     _, _, _, public, witness = honest_instance()
     bad_votes = list(witness.votes)
     bad_votes[2] = _with_off_curve_r(bad_votes[2])
-    bad_r = check_aggregation(public, replace(witness, votes=tuple(bad_votes)),
-                              AGG_REWARD, VAL_REWARD)
+    bad_r = check_aggregation(public, replace(witness, votes=tuple(bad_votes)))
     for report, site in ((bad_key, "vote[1].pk-on-curve"), (bad_r, "vote[2].r-on-curve")):
         assert not report.ok
         assert report.failure_site == site
@@ -231,8 +227,7 @@ def test_nonmember_account_fails_membership():
     bad_votes = list(witness.votes)
     bad_votes[2] = replace(bad_votes[2],
                            account=replace(bad_votes[2].account, pubkey=outsider.pk))
-    report = check_aggregation(public, replace(witness, votes=tuple(bad_votes)),
-                               AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(public, replace(witness, votes=tuple(bad_votes)))
     assert not report.ok
     assert report.failure_site in ("vote[2].leaf", "vote[2].membership")
 
@@ -240,7 +235,7 @@ def test_nonmember_account_fails_membership():
 def test_wrong_post_root_fails():
     _, _, _, public, witness = honest_instance()
     tampered = replace(public, post_state_root=public.post_state_root + 1)
-    report = check_aggregation(tampered, witness, AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(tampered, witness)
     assert not report.ok
     assert report.failure_site == "post-state-root"
 
@@ -249,7 +244,7 @@ def test_wrong_vote_count_raises():
     tree, keys = build_committee(2)
     votes = honest_votes(keys, [0, 1], 5, 777)
     with pytest.raises(WrongVoteCount):
-        build_aggregation_witness(tree, 0, votes, 5, 777, AGG_REWARD, VAL_REWARD)
+        build_aggregation_witness(tree, 0, votes, 5, 777)
 
 
 def test_mixed_votes_raises():
@@ -257,15 +252,14 @@ def test_mixed_votes_raises():
     votes = honest_votes(keys, [0, 1], 5, 777)
     votes.append(make_vote(keys[2].sk, 2, 5, 888))
     with pytest.raises(MixedVotes):
-        build_aggregation_witness(tree, 0, votes, 5, 777, AGG_REWARD, VAL_REWARD)
+        build_aggregation_witness(tree, 0, votes, 5, 777)
 
 
 def test_aggregator_may_vote():
     tree, keys = build_committee(2)
     votes = honest_votes(keys, [0, 1, 2], 5, 777)
-    public, witness = build_aggregation_witness(tree, 0, votes, 5, 777,
-                                                AGG_REWARD, VAL_REWARD)
-    report = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
+    public, witness = build_aggregation_witness(tree, 0, votes, 5, 777)
+    report = check_aggregation(public, witness)
     assert report.ok
     assert public.post_state_root == shadow_apply_aggregation(tree, 0, [0, 1, 2])
 
@@ -274,11 +268,11 @@ def test_constraint_count_deterministic_and_value_independent():
     reports = []
     for salt in (0, 50):
         _, _, _, public, witness = honest_instance(key_salt=salt)
-        reports.append(check_aggregation(public, witness, AGG_REWARD, VAL_REWARD))
+        reports.append(check_aggregation(public, witness))
     assert reports[0].constraint_count == reports[1].constraint_count
     # a failing instance has the identical count
     tampered = replace(public, post_state_root=1)
-    failing = check_aggregation(tampered, witness, AGG_REWARD, VAL_REWARD)
+    failing = check_aggregation(tampered, witness)
     assert failing.constraint_count == reports[0].constraint_count
 
 
@@ -468,20 +462,19 @@ def test_rotation_binding():
     votes = honest_votes(keys, [0, 1, 2], 5, 777)
     seed = curve.scalar_mul_base(12345)
     public, witness = build_aggregation_witness(
-        tree, 0, votes, 5, 777, AGG_REWARD, VAL_REWARD,
-        seed=seed, aggregator_secret=keys[0].sk)
+        tree, 0, votes, 5, 777, seed=seed, aggregator_secret=keys[0].sk)
     assert public.next_seed == curve.scalar_mul(keys[0].sk, seed)
-    assert check_aggregation(public, witness, AGG_REWARD, VAL_REWARD).ok
+    assert check_aggregation(public, witness).ok
 
     wrong_next = replace(public, next_seed=curve.scalar_mul_base(999))
-    report = check_aggregation(wrong_next, witness, AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(wrong_next, witness)
     assert not report.ok
     assert report.failure_site.startswith("rotation")
 
     # a secret that does not match the aggregator's registered key
     stolen = replace(witness, aggregator_secret=keys[1].sk)
     forged = replace(public, next_seed=curve.scalar_mul(keys[1].sk, seed))
-    report = check_aggregation(forged, stolen, AGG_REWARD, VAL_REWARD)
+    report = check_aggregation(forged, stolen)
     assert not report.ok
     assert report.failure_site == "rotation.key-x"
 
@@ -502,7 +495,7 @@ def test_random_instances_match_shadow_tree():
         block_hash = rng.randrange(1 << 200)
         votes = [make_vote(pool[i].sk, i, request_id, block_hash) for i in voters]
         public, witness = build_aggregation_witness(
-            tree, agg_index, votes, request_id, block_hash, AGG_REWARD, VAL_REWARD)
-        report = check_aggregation(public, witness, AGG_REWARD, VAL_REWARD)
+            tree, agg_index, votes, request_id, block_hash)
+        report = check_aggregation(public, witness)
         assert report.ok, report.failure_site
         assert public.post_state_root == shadow_apply_aggregation(tree, agg_index, voters)

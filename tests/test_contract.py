@@ -43,8 +43,7 @@ def answer_request(contract, keys, request_id, block_hash=777):
     t = contract.params.threshold
     votes = honest_votes(keys, range(t), request_id, block_hash)
     public, witness = build_aggregation_witness(
-        contract.tree_snapshot(), agg_index, votes, request_id, block_hash,
-        contract.params.agg_reward, contract.params.val_reward)
+        contract.tree_snapshot(), agg_index, votes, request_id, block_hash)
     proof = prove("transparent", AGGREGATION, public, witness)
     contract.submit_block(contract.owner_of[agg_index], request_id, block_hash,
                           public.validator_bits, public.post_state_root, proof)
@@ -213,6 +212,16 @@ def test_request_fee_too_low():
         contract.request_block("client", 10, contract.params.request_fee - 1)
 
 
+def test_params_constants_are_not_settings():
+    # the payouts are circuit constants: a contract and the auditor's backend
+    # cannot be built with values the other does not share
+    for field in ("min_stake", "val_reward", "agg_reward", "exit_delay"):
+        with pytest.raises(TypeError):
+            Params(depth=2, **{field: getattr(Params, field)})
+    with pytest.raises(TypeError):
+        circuits.TransparentBackend(60, 10)
+
+
 def test_request_replay_reconstructs_table():
     contract = Contract(P4)
     fee = contract.params.request_fee
@@ -325,7 +334,7 @@ def test_submit_block_rejects_block_hash_outside_field():
     contract.request_block("client", 10, contract.params.request_fee)
     votes = [replace(v, block_hash=123 + P) for v in honest_votes(keys, range(3), 0, 123)]
     public, witness = build_aggregation_witness(
-        contract.tree_snapshot(), 0, votes, 0, 123 + P, 50, 10)
+        contract.tree_snapshot(), 0, votes, 0, 123 + P)
     proof = prove("transparent", AGGREGATION, public, witness)
     log_before = dump_log(contract)
     with pytest.raises(InvalidInput):
@@ -352,7 +361,7 @@ def test_submit_block_wrong_sender():
     contract.request_block("client", 10, contract.params.request_fee)
     votes = honest_votes(keys, range(3), 0, 777)
     public, witness = build_aggregation_witness(
-        contract.tree_snapshot(), 0, votes, 0, 777, 50, 10)
+        contract.tree_snapshot(), 0, votes, 0, 777)
     proof = prove("transparent", AGGREGATION, public, witness)
     with pytest.raises(NotAggregator):
         contract.submit_block("owner-2", 0, 777, public.validator_bits,
@@ -366,7 +375,7 @@ def test_submit_block_bad_proof_rejected():
     contract.request_block("client", 10, contract.params.request_fee)
     votes = honest_votes(keys, range(3), 0, 777)
     public, witness = build_aggregation_witness(
-        contract.tree_snapshot(), 0, votes, 0, 777, 50, 10)
+        contract.tree_snapshot(), 0, votes, 0, 777)
     proof = prove("transparent", AGGREGATION, public, witness)
     root_before = contract.state_root
     with pytest.raises(InvalidProof):
@@ -431,7 +440,7 @@ def test_submit_block_cheap_rejections_skip_verification():
         agg = contract.get_aggregator()
         votes = honest_votes(keys, range(3), 0, 777)
         public, witness = build_aggregation_witness(
-            contract.tree_snapshot(), agg, votes, 0, 777, 50, 10, seed=seed,
+            contract.tree_snapshot(), agg, votes, 0, 777, seed=seed,
             aggregator_secret=keys[agg].sk)
         proof = prove("transparent", AGGREGATION, public, witness)
         good = dict(caller=contract.owner_of[agg], request_id=0, block_hash=777,
@@ -562,7 +571,7 @@ def test_hostile_proof_payloads_raise_invalid_proof():
     contract.request_block("client", 10, contract.params.request_fee)
     votes = honest_votes(keys, range(3), 0, 777)
     public, witness = build_aggregation_witness(
-        contract.tree_snapshot(), 0, votes, 0, 777, 50, 10)
+        contract.tree_snapshot(), 0, votes, 0, 777)
     proof = prove("transparent", AGGREGATION, public, witness)
     log = dump_log(contract)
     for payload in hostile_payloads(proof.payload):

@@ -100,6 +100,11 @@ def test_hostile_log_fails_with_corrupt_log(lines):
     "exit_delay=604800 aggregator_mode=round_robin",
     "# params depth=2 min_stake=x val_reward=10 agg_reward=50 "
     "exit_delay=604800 aggregator_mode=round_robin",
+    # the payouts and the stake floor are constants, not settings a log chooses
+    "# params depth=2 min_stake=100 val_reward=10 agg_reward=60 "
+    "exit_delay=604800 aggregator_mode=round_robin",
+    "# params depth=2 min_stake=99 val_reward=10 agg_reward=50 "
+    "exit_delay=604800 aggregator_mode=round_robin",
 ])
 def test_hostile_params_header_fails_with_corrupt_log(header):
     with pytest.raises(CorruptLog):

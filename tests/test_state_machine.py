@@ -80,8 +80,7 @@ def op_submit(c, rng):
              for i in sorted(rng.sample(members, t))]
     seed = c.seed_point if c.params.aggregator_mode == RANDOMIZED else None
     public, witness = build_aggregation_witness(
-        c.tree_snapshot(), named, votes, request.id, block_hash,
-        c.params.agg_reward, c.params.val_reward, seed=seed,
+        c.tree_snapshot(), named, votes, request.id, block_hash, seed=seed,
         aggregator_secret=SECRET[c.account(named).pubkey])
     proof = prove("transparent", AGGREGATION, public, witness)
     post = public.post_state_root + (rng.random() < 0.1)
