@@ -17,7 +17,10 @@ is corrupt.
 The default proof backend is transparent: the proof is the serialized witness
 and verification re-executes the circuit against the claimed public inputs.
 That is complete and sound by construction but explicitly not zero-knowledge;
-a real SNARK backend can be registered behind the same interface.
+a real SNARK backend can be registered behind the same interface.  Because a
+transparent proof publishes its witness, no witness holds a secret: only
+accounts, Merkle paths and the votes, each with the signature its validator
+already sent over the wire.
 """
 
 import json
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import curve
-from .curve import A, D, IDENTITY, L, Point
+from .curve import A, D, L, Point
 from .eddsa import Signature
 from .errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
 from .field import P
@@ -55,9 +58,6 @@ class AggregationPublic:
     block_hash: int
     request_id: int
     validator_bits: int
-    # randomized-rotation mode only: seed point and its sk-multiple
-    seed: Optional[Point] = None
-    next_seed: Optional[Point] = None
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class AggregationWitness:
     aggregator_account: Account
     aggregator_proof: MerkleProof
     votes: tuple  # exactly t VoteWitness entries
-    aggregator_secret: Optional[int] = None  # randomized-rotation mode only
 
 
 @dataclass(frozen=True)
@@ -268,25 +267,10 @@ def check_aggregation(public: AggregationPublic,
         root = _updated_root(cs, v.account, v.account.balance + VAL_REWARD,
                              v.merkle_proof, vbits)
 
-    if public.seed is not None:
-        _check_rotation(cs, public, witness)
 
     cs.assert_eq(actual_bits, public.validator_bits, "validator-bits")
     cs.assert_eq(root, public.post_state_root, "post-state-root")
     return cs.report()
-
-
-def _check_rotation(cs: ConstraintMeter, public: AggregationPublic,
-                    witness: AggregationWitness) -> None:
-    """Randomized rotation: next_seed = sk*seed with sk bound to the aggregator key."""
-    sk = witness.aggregator_secret or 0
-    pk = cs.scalar_mul_base(sk)
-    cs.assert_eq(pk.x, witness.aggregator_account.pubkey.x, "rotation.key-x")
-    cs.assert_eq(pk.y, witness.aggregator_account.pubkey.y, "rotation.key-y")
-    nxt = cs.scalar_mul(sk, public.seed)
-    expected = public.next_seed if public.next_seed is not None else IDENTITY
-    cs.assert_eq(nxt.x, expected.x, "rotation.seed-x")
-    cs.assert_eq(nxt.y, expected.y, "rotation.seed-y")
 
 
 def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
@@ -324,8 +308,7 @@ def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
 
 
 def build_aggregation_witness(tree: StateTree, agg_index: int, votes, request_id: int,
-                              block_hash: int, seed: Optional[Point] = None,
-                              aggregator_secret: Optional[int] = None):
+                              block_hash: int):
     """Stage proofs in circuit execution order against a snapshot of the tree.
 
     The aggregator's proof is taken against the pre-state root; each vote's
@@ -339,12 +322,10 @@ def build_aggregation_witness(tree: StateTree, agg_index: int, votes, request_id
         raise WrongVoteCount(f"need exactly {t} votes, got {len(votes)}")
     if any(v.block_hash != block_hash for v in votes):
         raise MixedVotes("all packaged votes must claim the submitted block hash")
-    return _stage_aggregation(tree, agg_index, votes, request_id, block_hash,
-                              seed, aggregator_secret)
+    return _stage_aggregation(tree, agg_index, votes, request_id, block_hash)
 
 
-def _stage_aggregation(tree, agg_index, votes, request_id, block_hash,
-                       seed=None, aggregator_secret=None):
+def _stage_aggregation(tree, agg_index, votes, request_id, block_hash):
     """The staging half of build_aggregation_witness, without its guards, so
     the brute-force soundness check can package votes the circuit must reject."""
     work = tree.copy()
@@ -364,14 +345,8 @@ def _stage_aggregation(tree, agg_index, votes, request_id, block_hash,
                          replace(account, balance=account.balance + VAL_REWARD))
         bits |= 1 << v.validator_index
 
-    next_seed = None
-    if seed is not None:
-        next_seed = curve.scalar_mul(aggregator_secret or 0, seed)
-
-    public = AggregationPublic(pre_root, work.root, block_hash, request_id, bits,
-                               seed=seed, next_seed=next_seed)
-    witness = AggregationWitness(agg_account, agg_proof, tuple(vote_witnesses),
-                                 aggregator_secret=aggregator_secret)
+    public = AggregationPublic(pre_root, work.root, block_hash, request_id, bits)
+    witness = AggregationWitness(agg_account, agg_proof, tuple(vote_witnesses))
     return public, witness
 
 
@@ -403,24 +378,36 @@ def build_slash_witness(tree: StateTree, agg_index: int, victim_vote, request_id
 
 
 # -- witness serialization (decimal JSON records) ----------------------------
+# Decoding is strict about values: a field element is the decimal string of a
+# value in [0, P), an index is a JSON integer (not true or false), and a
+# proof's directions are the low D bits of its account's index.
+
+
+def _elements(raws) -> list:
+    """Field elements, each the decimal string of a value in [0, P)."""
+    # join raises TypeError unless every entry is a str, and bytes.isdigit,
+    # unlike str.isdigit and int(), accepts ASCII digits only; one check for
+    # a whole record costs little next to its int() calls
+    if not "".join(raws).encode().isdigit():
+        raise ValueError("field elements are decimal strings")
+    values = list(map(int, raws))
+    if max(values) >= P:
+        raise ValueError("a field element is not below P")
+    return values
 
 
 def _point_obj(p: Point):
     return [str(p.x), str(p.y)]
 
 
-def _point_from(obj) -> Point:
-    if not isinstance(obj, list) or len(obj) != 2:
+def _coordinates(obj) -> list:
+    if type(obj) is not list or len(obj) != 2:
         raise ValueError("a point is a list of two coordinates")
-    return Point(int(obj[0]), int(obj[1]))
+    return obj
 
 
 def _account_obj(a: Account):
     return {"index": a.index, "pubkey": _point_obj(a.pubkey), "balance": str(a.balance)}
-
-
-def _account_from(obj) -> Account:
-    return Account(obj["index"], _point_from(obj["pubkey"]), int(obj["balance"]))
 
 
 def _proof_obj(p: MerkleProof):
@@ -428,9 +415,22 @@ def _proof_obj(p: MerkleProof):
             "directions": list(p.directions)}
 
 
-def _proof_from(obj) -> MerkleProof:
-    return MerkleProof(int(obj["leaf"]), tuple(int(x) for x in obj["path"]),
-                       tuple(obj["directions"]))
+def _member_from(account_obj, proof_obj) -> tuple:
+    """An account and its Merkle proof."""
+    index, path = account_obj["index"], proof_obj["path"]
+    if type(index) is not int:  # JSON true and false load as bools, which are ints
+        raise TypeError(f"index {index!r} is not an integer")
+    if type(path) is not list:
+        raise TypeError("a Merkle path is a list")
+    x, y, balance, leaf, *path = _elements(
+        [*_coordinates(account_obj["pubkey"]), account_obj["balance"], proof_obj["leaf"],
+         *path])
+    bits = [index >> d & 1 for d in range(len(path))]
+    directions = proof_obj["directions"]
+    if directions != bits or not all(type(d) is int for d in directions):
+        raise ValueError("directions must be the low bits of the account index")
+    return (Account(index, Point(x, y), balance),
+            MerkleProof(leaf, tuple(path), tuple(bits)))
 
 
 def _vote_witness_obj(v: VoteWitness):
@@ -440,30 +440,22 @@ def _vote_witness_obj(v: VoteWitness):
 
 
 def _vote_witness_from(obj) -> VoteWitness:
-    sig = Signature(_point_from(obj["signature"]["r"]), int(obj["signature"]["s"]))
-    return VoteWitness(_account_from(obj["account"]), _proof_from(obj["proof"]),
-                       sig, int(obj["block_hash"]))
+    signature = obj["signature"]
+    rx, ry, s, block_hash = _elements(
+        [*_coordinates(signature["r"]), signature["s"], obj["block_hash"]])
+    return VoteWitness(*_member_from(obj["account"], obj["proof"]),
+                       Signature(Point(rx, ry), s), block_hash)
 
 
 def aggregation_witness_to_obj(w: AggregationWitness):
-    obj = {"aggregator": _account_obj(w.aggregator_account),
-           "aggregator_proof": _proof_obj(w.aggregator_proof),
-           "votes": [_vote_witness_obj(v) for v in w.votes]}
-    if w.aggregator_secret is not None:
-        obj["aggregator_secret"] = str(w.aggregator_secret)
-    return obj
+    return {"aggregator": _account_obj(w.aggregator_account),
+            "aggregator_proof": _proof_obj(w.aggregator_proof),
+            "votes": [_vote_witness_obj(v) for v in w.votes]}
 
 
 def aggregation_witness_from_obj(obj) -> AggregationWitness:
-    if not isinstance(obj, dict):
-        raise TypeError("a witness is a JSON object")
-    secret = obj.get("aggregator_secret")
-    return AggregationWitness(
-        _account_from(obj["aggregator"]),
-        _proof_from(obj["aggregator_proof"]),
-        tuple(_vote_witness_from(v) for v in obj["votes"]),
-        aggregator_secret=int(secret) if secret is not None else None,
-    )
+    return AggregationWitness(*_member_from(obj["aggregator"], obj["aggregator_proof"]),
+                              tuple(_vote_witness_from(v) for v in obj["votes"]))
 
 
 def slash_witness_to_obj(w: SlashWitness):
@@ -473,8 +465,7 @@ def slash_witness_to_obj(w: SlashWitness):
 
 
 def slash_witness_from_obj(obj) -> SlashWitness:
-    return SlashWitness(_account_from(obj["aggregator"]),
-                        _proof_from(obj["aggregator_proof"]),
+    return SlashWitness(*_member_from(obj["aggregator"], obj["aggregator_proof"]),
                         _vote_witness_from(obj["victim"]))
 
 
@@ -512,10 +503,8 @@ class TransparentBackend:
                 report = check_slash(public, slash_witness_from_obj(obj))
             else:
                 raise UnknownBackend(f"unknown circuit: {circuit_id}")
-        # RecursionError: json.loads on deeply nested arrays; OverflowError:
-        # int() of the Infinity that json.loads accepts
-        except (KeyError, ValueError, TypeError, OverflowError, RecursionError,
-                WrongVoteCount):
+        # RecursionError: json.loads on deeply nested arrays
+        except (KeyError, ValueError, TypeError, RecursionError, WrongVoteCount):
             return False
         return report.ok
 

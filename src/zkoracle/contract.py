@@ -9,6 +9,9 @@ The contract keeps a private hash tree (as the real contract does for the
 membership operations) but external state changes arriving via submit/slash
 are accepted only if the claimed post root matches the canonical update
 implied by the public inputs; that is what keeps the event log replayable.
+
+The aggregator rotates round robin: the first member at or after a cursor
+that moves past each submitting or timed-out aggregator.
 """
 
 import math
@@ -26,15 +29,13 @@ from .errors import (AlreadyExiting, AlreadySlashed, CommitteeFull, CorruptLog,
 from .field import P
 from .merkle import (Account, MerkleProof, StateTree, empty_account, leaf_hash,
                      proof_index, verify_proof)
-from .mimc import mimc_hash
 
 MIN_STAKE = 100
 EXIT_DELAY = 7 * 24 * 3600  # two-step departure: announce, then wait this long
 
 MAX_BALANCE = 1 << 128  # balances stay far below P so additions never wrap
 
-ROUND_ROBIN = "round_robin"
-RANDOMIZED = "randomized"
+ROUND_ROBIN = "round_robin"  # the only aggregator rotation
 
 PENDING = "pending"
 ANSWERED = "answered"
@@ -42,16 +43,16 @@ ANSWERED = "answered"
 
 @dataclass(frozen=True)
 class Params:
-    """The settings a deployment chooses.  The stake floor, the exit delay and
-    the circuit's payouts are constants; they read as attributes so the log
-    header can state them."""
+    """The settings a deployment chooses: only the tree depth.  The stake
+    floor, the exit delay, the circuit's payouts and the aggregator rotation
+    are constants; they read as attributes so the log header can state them."""
     depth: int = 8
-    aggregator_mode: str = ROUND_ROBIN
 
     min_stake: ClassVar[int] = MIN_STAKE
     val_reward: ClassVar[int] = VAL_REWARD
     agg_reward: ClassVar[int] = AGG_REWARD
     exit_delay: ClassVar[int] = EXIT_DELAY
+    aggregator_mode: ClassVar[str] = ROUND_ROBIN
 
     @property
     def capacity(self) -> int:
@@ -101,9 +102,9 @@ EVENT_KINDS = (REGISTERED, REPLACED, EXITED, WITHDRAWN, BLOCK_REQUESTED,
 
 
 class Contract:
-    def __init__(self, params: Params = Params(), backend=None):
+    def __init__(self, params: Params = Params()):
         self.params = params
-        self.backend = backend or TransparentBackend()
+        self.backend = TransparentBackend()
         self._tree = StateTree(params.depth)
         self.owner_of = {}
         self.ip_of = {}
@@ -115,9 +116,6 @@ class Contract:
         self.slashed = set()
         self.events = []
         self.now = 0.0
-        # randomized rotation state: current seed point and timeouts since last submit
-        self.seed_point = curve.GENERATOR
-        self.timeout_count = 0
 
     # -- read side ------------------------------------------------------
 
@@ -141,18 +139,13 @@ class Contract:
         return sum(self._tree.account(i).balance for i in self._tree.occupied_indices())
 
     def get_aggregator(self) -> int:
-        start = self._rotation_start()
+        """The first member at or after the cursor, wrapping around."""
         n = self.params.capacity
         for k in range(n):
-            idx = (start + k) % n
+            idx = (self.aggregator_cursor + k) % n
             if not self._tree.account(idx).is_empty():
                 return idx
         raise NoCommittee("no registered oracle nodes")
-
-    def _rotation_start(self) -> int:
-        if self.params.aggregator_mode == RANDOMIZED:
-            return mimc_hash([self.seed_point.x, self.timeout_count]) % self.params.capacity
-        return self.aggregator_cursor
 
     # -- time -----------------------------------------------------------
 
@@ -223,29 +216,23 @@ class Contract:
         return request_id
 
     def submit_block(self, caller: str, request_id: int, block_hash: int,
-                     validator_bits: int, post_state_root: int, proof: Proof,
-                     next_seed: Optional[Point] = None) -> None:
+                     validator_bits: int, post_state_root: int, proof: Proof) -> None:
         agg_index = self.get_aggregator()
         if self.owner_of.get(agg_index) != caller:
             raise NotAggregator(f"{caller} is not the current aggregator")
         self._pending(request_id)
-        randomized = self.params.aggregator_mode == RANDOMIZED
         # the reducer repeats these checks; running them first spares a
         # submission they refuse the proof's re-execution
-        self._check_submission(block_hash, validator_bits,
-                               next_seed if randomized else None)
+        self._check_submission(block_hash, validator_bits)
 
         public = AggregationPublic(self.state_root, post_state_root, block_hash,
-                                   request_id, validator_bits,
-                                   seed=self.seed_point if randomized else None,
-                                   next_seed=next_seed)
+                                   request_id, validator_bits)
         if not self.backend.verify(AGGREGATION, public, proof):
             raise InvalidProof("aggregation proof rejected")
 
-        seed = dict(seed_x=next_seed.x, seed_y=next_seed.y) if randomized else {}
         self._emit(BLOCK_SUBMITTED, request_id=request_id, agg_index=agg_index,
                    block_hash=block_hash, validator_bits=validator_bits,
-                   post_state_root=post_state_root, **seed)
+                   post_state_root=post_state_root)
 
     def slash(self, caller: str, request_id: int, val_index: int,
               post_state_root: int, proof: Proof) -> None:
@@ -309,8 +296,7 @@ class Contract:
             request = self._pending(p["request_id"])
             if p["agg_index"] != self.get_aggregator():
                 raise NotAggregator(f"index {p['agg_index']} is not the aggregator")
-            seed = Point(p["seed_x"], p["seed_y"]) if "seed_x" in p else None
-            self._check_submission(p["block_hash"], p["validator_bits"], seed)
+            self._check_submission(p["block_hash"], p["validator_bits"])
             self._tree = self._updated_tree(event)
             request.status = ANSWERED
             request.answer_hash = p["block_hash"]
@@ -318,9 +304,6 @@ class Contract:
             request.agg_index = p["agg_index"]
             self.escrow -= params.request_fee
             self.aggregator_cursor = (p["agg_index"] + 1) % params.capacity
-            if seed is not None:
-                self.seed_point = seed
-                self.timeout_count = 0
         elif kind == SLASHED:
             request = self._slashable(p["request_id"], p["val_index"])
             if p["agg_index"] != request.agg_index:
@@ -332,17 +315,13 @@ class Contract:
             if p["index"] != self.get_aggregator():
                 raise NotAggregator(f"index {p['index']} is not the aggregator")
             self.aggregator_cursor = (p["index"] + 1) % params.capacity
-            if params.aggregator_mode == RANDOMIZED:
-                self.timeout_count += 1
         self.now = event.time
         self.events.append(event)
 
-    def _check_submission(self, block_hash: int, validator_bits: int,
-                          seed: Optional[Point]) -> None:
+    def _check_submission(self, block_hash: int, validator_bits: int) -> None:
         """The BLOCK_SUBMITTED checks that need no proof: the hash is a field
-        element, the bits flag t registered members, a seed point comes with
-        randomized rotation only and lies on the curve, and the escrow covers
-        the rewards."""
+        element, the bits flag t registered members, and the escrow covers the
+        rewards."""
         params = self.params
         if not 0 <= block_hash < P:
             raise InvalidInput(f"block hash {block_hash} outside [0, P)")
@@ -352,10 +331,6 @@ class Contract:
         if validator_bits < 0 or validator_bits >> params.capacity \
                 or len(voters) != params.threshold or not self.owner_of.keys() >= set(voters):
             raise InvalidInput("validator bits must flag t registered members")
-        if (seed is not None) != (params.aggregator_mode == RANDOMIZED):
-            raise InvalidInput("a seed point goes with randomized rotation only")
-        if seed is not None:
-            curve.require_on_curve(seed)
         if self.escrow < params.request_fee:
             raise InvalidInput("escrow cannot cover the submission rewards")
 
@@ -532,8 +507,6 @@ LOG_FIELDS = {
     SLASHED: dict(request_id=int, agg_index=int, val_index=int, post_state_root=int),
     AGGREGATOR_TIMEOUT: dict(index=int),
 }
-# fields a line carries all or none of: the next seed under randomized rotation
-OPTIONAL_LOG_FIELDS = {BLOCK_SUBMITTED: dict(seed_x=int, seed_y=int)}
 
 # a logged tree of this depth is still small enough to rebuild in memory
 MAX_LOG_DEPTH = 16
@@ -608,9 +581,7 @@ def parse_events(text: str):
 
 
 def _parse_fields(items, kind: str, where: str) -> dict:
-    required = LOG_FIELDS[kind]
-    optional = OPTIONAL_LOG_FIELDS.get(kind, {})
-    types = {**required, **optional}
+    types = LOG_FIELDS[kind]
     values = {}
     for item in items:
         key, sep, raw = item.partition("=")
@@ -621,6 +592,6 @@ def _parse_fields(items, kind: str, where: str) -> dict:
         except ValueError:
             raise CorruptLog(f"{where}: {key}={raw!r} is not "
                              f"{types[key].__name__}") from None
-    if values.keys() not in (required.keys(), types.keys()):
-        raise CorruptLog(f"{where}: expected the fields {sorted(required)}")
+    if values.keys() != types.keys():
+        raise CorruptLog(f"{where}: expected the fields {sorted(types)}")
     return values

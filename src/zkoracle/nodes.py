@@ -107,7 +107,6 @@ class Submission:
     post_state_root: int
     proof: Proof
     constraint_count: int
-    next_seed: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,12 @@ class SlashAction:
 
 class OracleNode:
     def __init__(self, name: str, keypair: eddsa.KeyPair, params: Params,
-                 finality: int = DEFAULT_FINALITY, backend=None):
+                 finality: int = DEFAULT_FINALITY):
         self.name = name
         self.keypair = keypair
         self.params = params
         self.finality = finality
-        self.backend = backend or circuits.TransparentBackend()
+        self.backend = circuits.TransparentBackend()
         self.index: Optional[int] = None  # assigned when registered on-chain
         self.local_tree = StateTree(params.depth)
         self.last_seq = 0
@@ -180,7 +179,7 @@ class OracleNode:
         self.mempool.add(vote)
         return True, None
 
-    def try_submit(self, request_id: int, seed=None) -> Optional[Submission]:
+    def try_submit(self, request_id: int) -> Optional[Submission]:
         """Package the first t same-hash votes (ascending index) once a
         majority exists."""
         t = self.params.threshold
@@ -193,15 +192,12 @@ class OracleNode:
         if winner is None:
             return None
         votes = self.mempool.votes_for(request_id, winner)[:t]
-        secret = self.keypair.sk if seed is not None else None
         public, witness = circuits.build_aggregation_witness(
-            self.local_tree, self.index, votes, request_id, winner,
-            seed=seed, aggregator_secret=secret)
+            self.local_tree, self.index, votes, request_id, winner)
         report = check_aggregation(public, witness)
         proof = self.backend.prove(AGGREGATION, public, witness)
         return Submission(request_id, winner, public.validator_bits,
-                          public.post_state_root, proof, report.constraint_count,
-                          next_seed=public.next_seed)
+                          public.post_state_root, proof, report.constraint_count)
 
     def build_slashes(self, request_id: int, answer_hash: int):
         """Chain slash transactions for every provably dissenting vote,

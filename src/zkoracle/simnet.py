@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import eddsa
-from .contract import RANDOMIZED, Contract, Params, PENDING, conservation_trace
+from .contract import Contract, Params, PENDING, conservation_trace
 from .errors import ConfigError
 from .field import P
 from .mimc import mimc_hash
@@ -136,10 +136,9 @@ class ScenarioConfig:
     seed: int = 0
     stakes: Optional[list] = None
     expect_violation: bool = False
-    aggregator_mode: str = "round_robin"
 
     def params(self) -> Params:
-        return Params(depth=self.depth, aggregator_mode=self.aggregator_mode)
+        return Params(depth=self.depth)
 
     def validate(self) -> None:
         p = self.params()
@@ -321,11 +320,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioRun:
 
 def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
                  behavior, config):
-    params = contract.params
     contract.set_time(clock)
     block_number = chain.tip - config.finality
     expected = chain.block_at(block_number).hash
-    request_id = contract.request_block("client-0", block_number, params.request_fee)
+    request_id = contract.request_block("client-0", block_number,
+                                        contract.params.request_fee)
     issue_time = clock
 
     plans = {}
@@ -386,15 +385,13 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
                 continue  # ignores its aggregation duty; timeout will fire
             node.sync(contract.events)
             node.on_vote(vote)
-            seed = contract.seed_point if params.aggregator_mode == RANDOMIZED else None
-            submission = node.try_submit(request_id, seed=seed)
+            submission = node.try_submit(request_id)
             if submission is None:
                 continue
             contract.set_time(at)
             contract.submit_block(node.name, request_id, submission.block_hash,
                                   submission.validator_bits,
-                                  submission.post_state_root, submission.proof,
-                                  next_seed=submission.next_seed)
+                                  submission.post_state_root, submission.proof)
             answered = True
             answer_time = at
             answer_agg = agg_index

@@ -34,17 +34,38 @@ def honest_votes(keys, indices, request_id, block_hash):
 
 
 def hostile_payloads(payload):
-    """Mutants of a proof payload that once escaped verification with
-    RecursionError, AttributeError, IndexError or OverflowError, plus a point
-    with a third coordinate; every one must verify False."""
+    """Mutants of an aggregation or slash proof payload; every one must verify
+    False.  The first ones once escaped verification with RecursionError,
+    AttributeError, IndexError or OverflowError.  The rest are ones a lax
+    decoder reads as the honest witness: a value of another JSON type, a
+    field element plus P, directions that are not the index bits.  They edit
+    the aggregator's account and proof, which both circuits carry, and the
+    first signature."""
     mutants = [b"[" * 200000, b"[]", b"null", b"1", b'"aggregator"']
-    for coords in (1, 3):
+    original = json.loads(payload)
+    assert original["aggregator"]["index"] in (0, 1)  # so that bool() keeps it
+    first_sig = ("votes", 0, "signature") if "votes" in original else ("victim", "signature")
+
+    def plus_p(raw):
+        return str(int(raw) + P)
+
+    for path, change in [
+            (("aggregator", "pubkey"), lambda pk: pk[:1]),
+            (("aggregator", "pubkey"), lambda pk: pk + pk[:1]),
+            (("aggregator", "balance"), lambda _: float("inf")),  # encoded as Infinity
+            (("aggregator", "index"), bool),
+            (("aggregator", "balance"), int),
+            (("aggregator", "balance"), plus_p),
+            (("aggregator", "pubkey", 0), plus_p),
+            (("aggregator_proof", "path", 0), plus_p),
+            (first_sig + ("r", 0), plus_p),
+            (("aggregator_proof", "directions"), lambda _: [7] * 1000)]:
         obj = json.loads(payload)
-        obj["aggregator"]["pubkey"] = (obj["aggregator"]["pubkey"] * 2)[:coords]
+        record = obj
+        for step in path[:-1]:
+            record = record[step]
+        record[path[-1]] = change(record[path[-1]])
         mutants.append(json.dumps(obj).encode())
-    obj = json.loads(payload)
-    obj["aggregator"]["balance"] = float("inf")  # encoded as Infinity
-    mutants.append(json.dumps(obj).encode())
     return mutants
 
 

@@ -1,5 +1,6 @@
 """Aggregation and slashing circuit tests."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ from zkoracle.circuits import (AGGREGATION, SLASH, AggregationPublic,
                                aggregation_witness_from_obj,
                                aggregation_witness_to_obj,
                                build_aggregation_witness, build_slash_witness,
-                               check_aggregation, check_slash, prove, threshold,
-                               verify)
+                               check_aggregation, check_slash, prove,
+                               slash_witness_from_obj, threshold, verify)
 from zkoracle.errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
 from zkoracle.field import P
 from zkoracle.merkle import Account
@@ -424,6 +425,58 @@ def test_witness_serialization_roundtrip():
     assert aggregation_witness_from_obj(obj) == witness
 
 
+JUNK_VALUES = [None, True, False, 0, 1, -1, 1.5, float("inf"), "", "x", "-1", " 1",
+               "1e3", str(P), [], {}, ["1"], {"1": "1"}]
+
+
+def _mutate_record(obj, rng):
+    """Drop, replace or add one value somewhere inside a decoded payload."""
+    records = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            records.append(node)
+            for child in (node.values() if isinstance(node, dict) else node):
+                walk(child)
+    walk(obj)
+    record = rng.choice(records)
+    keys = list(record) if isinstance(record, dict) else list(range(len(record)))
+    action = rng.choice(("drop", "replace", "add")) if keys else "add"
+    if action == "drop":
+        del record[rng.choice(keys)]
+    elif action == "replace":
+        record[rng.choice(keys)] = rng.choice(JUNK_VALUES)
+    elif isinstance(record, dict):
+        record[rng.choice(("extra", "aggregator_secret"))] = rng.choice(JUNK_VALUES)
+    else:
+        record.append(rng.choice(record) if record else "0")
+
+
+def test_fuzzed_payloads_verify_false_or_decode_to_the_witness():
+    # every mutant of a real payload either verifies False without raising or
+    # decodes to the very witness the prover encoded
+    tree, keys, _, public, witness = honest_instance()
+    s_public, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888),
+                                              5, 777)
+    rng = random.Random(2409)
+    for circuit, pub, wit in ((AGGREGATION, public, witness), (SLASH, s_public, s_witness)):
+        good = prove("transparent", circuit, pub, wit)
+        for _ in range(150):
+            if rng.random() < 0.7:
+                obj = json.loads(good.payload)
+                _mutate_record(obj, rng)
+                payload = json.dumps(obj).encode()
+            else:
+                data = bytearray(good.payload)
+                k = rng.randrange(len(data))
+                data[k] = rng.randrange(256)
+                payload = bytes(data[:rng.randrange(k, len(data)) + 1])
+            if verify("transparent", circuit, pub, replace(good, payload=payload)):
+                decode = (aggregation_witness_from_obj if circuit == AGGREGATION
+                          else slash_witness_from_obj)
+                assert decode(json.loads(payload)) == wit, payload[:80]
+
+
 def test_serialized_instances_golden():
     # regression pins for the canonical decimal-record encodings; fixed keys
     import hashlib
@@ -452,31 +505,6 @@ def test_slash_proof_roundtrip():
     proof = prove("transparent", SLASH, public, witness)
     assert verify("transparent", SLASH, public, proof)
     assert not verify("transparent", SLASH, replace(public, val_index=1), proof)
-
-
-# -- randomized rotation extension ----------------------------------------------
-
-
-def test_rotation_binding():
-    tree, keys = build_committee(2)
-    votes = honest_votes(keys, [0, 1, 2], 5, 777)
-    seed = curve.scalar_mul_base(12345)
-    public, witness = build_aggregation_witness(
-        tree, 0, votes, 5, 777, seed=seed, aggregator_secret=keys[0].sk)
-    assert public.next_seed == curve.scalar_mul(keys[0].sk, seed)
-    assert check_aggregation(public, witness).ok
-
-    wrong_next = replace(public, next_seed=curve.scalar_mul_base(999))
-    report = check_aggregation(wrong_next, witness)
-    assert not report.ok
-    assert report.failure_site.startswith("rotation")
-
-    # a secret that does not match the aggregator's registered key
-    stolen = replace(witness, aggregator_secret=keys[1].sk)
-    forged = replace(public, next_seed=curve.scalar_mul(keys[1].sk, seed))
-    report = check_aggregation(forged, stolen)
-    assert not report.ok
-    assert report.failure_site == "rotation.key-x"
 
 
 # -- state-transition equivalence over random instances ---------------------------

@@ -2,7 +2,7 @@
 slashing, event log replay."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,7 +11,6 @@ from zkoracle import circuits, eddsa
 from zkoracle.circuits import AGGREGATION, build_aggregation_witness, prove
 from zkoracle.contract import (Contract, Params, apply_slash_transfer, dump_events,
                                dump_log, parse_events, parse_log, replay)
-from zkoracle.curve import Point
 from zkoracle.errors import (AlreadyExiting, AlreadySlashed, CommitteeFull,
                              CorruptLog, ExitTimeNotReached, FeeTooLow,
                              InsufficientStake, InvalidInput, InvalidProof,
@@ -20,7 +19,7 @@ from zkoracle.errors import (AlreadyExiting, AlreadySlashed, CommitteeFull,
                              StakeTooLow)
 from zkoracle.field import P
 from zkoracle.merkle import Account
-from zkoracle.nodes import make_vote
+from zkoracle.nodes import OracleNode, make_vote
 
 P4 = Params(depth=2)
 
@@ -215,11 +214,18 @@ def test_request_fee_too_low():
 def test_params_constants_are_not_settings():
     # the payouts are circuit constants: a contract and the auditor's backend
     # cannot be built with values the other does not share
-    for field in ("min_stake", "val_reward", "agg_reward", "exit_delay"):
+    for field in ("min_stake", "val_reward", "agg_reward", "exit_delay",
+                  "aggregator_mode"):
         with pytest.raises(TypeError):
             Params(depth=2, **{field: getattr(Params, field)})
     with pytest.raises(TypeError):
         circuits.TransparentBackend(60, 10)
+    assert [f.name for f in fields(Params)] == ["depth"]
+    # proofs are checked and made by the one transparent backend
+    with pytest.raises(TypeError):
+        Contract(P4, backend=circuits.TransparentBackend())
+    with pytest.raises(TypeError):
+        OracleNode("n", fresh_keys(1)[0], P4, backend=circuits.TransparentBackend())
 
 
 def test_request_replay_reconstructs_table():
@@ -416,58 +422,48 @@ def test_submit_block_underfull_bits_rejected():
     assert contract.requests[0].status == "pending"
 
 
-class CountingBackend(circuits.TransparentBackend):
-    def __init__(self):
-        super().__init__()
-        self.verify_calls = 0
-
-    def verify(self, circuit_id, public, proof):
-        self.verify_calls += 1
-        return super().verify(circuit_id, public, proof)
-
-
-def test_submit_block_cheap_rejections_skip_verification():
+def test_submit_block_cheap_rejections_skip_verification(monkeypatch):
     # every submission the contract can refuse without the proof is refused
     # before the proof is re-executed, and leaves the log as it was
-    for mode in ("round_robin", "randomized"):
-        backend = CountingBackend()
-        contract = Contract(Params(depth=2, aggregator_mode=mode), backend)
-        keys = fresh_keys(4)
-        register_all(contract, keys[:3])
-        contract.request_block("client", 10, contract.params.request_fee)
-        randomized = mode == "randomized"
-        seed = contract.seed_point if randomized else None
-        agg = contract.get_aggregator()
-        votes = honest_votes(keys, range(3), 0, 777)
-        public, witness = build_aggregation_witness(
-            contract.tree_snapshot(), agg, votes, 0, 777, seed=seed,
-            aggregator_secret=keys[agg].sk)
-        proof = prove("transparent", AGGREGATION, public, witness)
-        good = dict(caller=contract.owner_of[agg], request_id=0, block_hash=777,
-                    validator_bits=public.validator_bits,
-                    post_state_root=public.post_state_root, proof=proof,
-                    next_seed=public.next_seed)
-        cases = [dict(block_hash=777 + P), dict(block_hash=-1),
-                 dict(validator_bits=0b011), dict(validator_bits=0b1111),
-                 dict(validator_bits=0b1011), dict(validator_bits=-0b111),
-                 dict(validator_bits=(1 << 100_000) | 0b111),
-                 dict(caller=contract.owner_of[(agg + 1) % 3]), dict(request_id=1)]
-        if randomized:
-            cases += [dict(next_seed=None), dict(next_seed=Point(1, 1))]
-        log_before = dump_log(contract)
-        for change in cases:
-            with pytest.raises(OracleError):
-                contract.submit_block(**{**good, **change})
-            assert backend.verify_calls == 0, change
-            assert dump_log(contract) == log_before, change
-        contract.escrow = 0  # no transaction can leave a pending request unfunded
-        with pytest.raises(InvalidInput):
-            contract.submit_block(**good)
-        assert backend.verify_calls == 0
-        contract.escrow = contract.params.request_fee
+    verify_calls = []
+    verify = circuits.TransparentBackend.verify
+
+    def counting(backend, circuit_id, public, proof):
+        verify_calls.append(circuit_id)
+        return verify(backend, circuit_id, public, proof)
+
+    monkeypatch.setattr(circuits.TransparentBackend, "verify", counting)
+    contract = Contract(P4)
+    keys = fresh_keys(4)
+    register_all(contract, keys[:3])
+    contract.request_block("client", 10, contract.params.request_fee)
+    agg = contract.get_aggregator()
+    votes = honest_votes(keys, range(3), 0, 777)
+    public, witness = build_aggregation_witness(contract.tree_snapshot(), agg, votes,
+                                                0, 777)
+    proof = prove("transparent", AGGREGATION, public, witness)
+    good = dict(caller=contract.owner_of[agg], request_id=0, block_hash=777,
+                validator_bits=public.validator_bits,
+                post_state_root=public.post_state_root, proof=proof)
+    cases = [dict(block_hash=777 + P), dict(block_hash=-1),
+             dict(validator_bits=0b011), dict(validator_bits=0b1111),
+             dict(validator_bits=0b1011), dict(validator_bits=-0b111),
+             dict(validator_bits=(1 << 100_000) | 0b111),
+             dict(caller=contract.owner_of[(agg + 1) % 3]), dict(request_id=1)]
+    log_before = dump_log(contract)
+    for change in cases:
+        with pytest.raises(OracleError):
+            contract.submit_block(**{**good, **change})
+        assert verify_calls == [], change
+        assert dump_log(contract) == log_before, change
+    contract.escrow = 0  # no transaction can leave a pending request unfunded
+    with pytest.raises(InvalidInput):
         contract.submit_block(**good)
-        assert backend.verify_calls == 1
-        assert contract.requests[0].status == "answered"
+    assert verify_calls == []
+    contract.escrow = contract.params.request_fee
+    contract.submit_block(**good)
+    assert verify_calls == [AGGREGATION]
+    assert contract.requests[0].status == "answered"
 
 
 # -- slash ---------------------------------------------------------------------------------

@@ -105,6 +105,9 @@ def test_hostile_log_fails_with_corrupt_log(lines):
     "exit_delay=604800 aggregator_mode=round_robin",
     "# params depth=2 min_stake=99 val_reward=10 agg_reward=50 "
     "exit_delay=604800 aggregator_mode=round_robin",
+    # so is the rotation: round robin is the only one
+    "# params depth=2 min_stake=100 val_reward=10 agg_reward=50 "
+    "exit_delay=604800 aggregator_mode=randomized",
 ])
 def test_hostile_params_header_fails_with_corrupt_log(header):
     with pytest.raises(CorruptLog):
@@ -138,6 +141,17 @@ def test_block_hash_outside_field_is_corrupt():
         submitted, block_hash=submitted["block_hash"] + P))
     with pytest.raises(CorruptLog):
         replay(events[:k] + [relabelled] + events[k + 1:], params)
+
+
+def test_seed_fields_are_corrupt_at_parse_time():
+    # round robin is the only rotation, so no BlockSubmitted line carries a
+    # next seed, not even one that replay would reach
+    run = run_scenario(ScenarioConfig(depth=2, committee=4, rounds=1, seed=8))
+    lines = dump_log(run.contract).splitlines()
+    k = next(i for i, line in enumerate(lines) if " BlockSubmitted " in line)
+    lines[k] += f" seed_x={KEY.pk.x} seed_y={KEY.pk.y}"
+    with pytest.raises(CorruptLog):
+        parse_log("\n".join(lines) + "\n")
 
 
 # -- seeded fuzz ---------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Simulation harness tests: chain, bus, scenarios, determinism."""
 
+import dataclasses
 import random
+import re
 
 import pytest
 
+from zkoracle import circuits
+from zkoracle.cli import bundled_scenarios
 from zkoracle.contract import dump_events
 from zkoracle.errors import ConfigError
 from zkoracle.simnet import (MessageBus, MockChain, ScenarioConfig, run_scenario,
@@ -93,6 +97,8 @@ def test_config_json_roundtrip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json('{"depth": 2, "bogus": 1}')
+    with pytest.raises(ConfigError):  # round robin is the only rotation
+        ScenarioConfig.from_json('{"depth": 2, "aggregator_mode": "round_robin"}')
 
 
 def test_config_rejects_bad_values():
@@ -225,29 +231,19 @@ def test_configured_stakes_apply():
     assert run.metrics.final_balances == {0: 100, 1: 250, 2: 333, 3: 404}
 
 
-def test_randomized_rotation_mode():
-    run = run_scenario(ScenarioConfig(depth=2, committee=4, rounds=6, seed=33,
-                                      aggregator_mode="randomized"))
-    m = run.metrics
-    assert m.answered == 6
-    assert m.safety_violations == 0
-    assert verify_run(run) == []
-    aggs = {e.payload["agg_index"] for e in run.contract.events
-            if e.kind == "BlockSubmitted"}
-    assert len(aggs) > 1  # selection moves around
+def test_verified_proofs_carry_no_secret_key(monkeypatch):
+    # a transparent proof publishes its witness, so no secret may ride in it
+    payloads = []
+    verify = circuits.TransparentBackend.verify
 
+    def recording(backend, circuit_id, public, proof):
+        payloads.append((circuit_id, proof.payload))
+        return verify(backend, circuit_id, public, proof)
 
-def test_randomized_rotation_with_offline_node():
-    # timeouts re-derive the selection from the seed and a counter
-    run = run_scenario(ScenarioConfig(depth=2, committee=4, rounds=8, seed=36,
-                                      aggregator_mode="randomized",
-                                      adversaries={2: "offline_aggregator"}))
-    assert run.metrics.safety_violations == 0
-    assert run.metrics.answered >= 6
-    assert verify_run(run) == []
-    timeouts = [e for e in run.contract.events if e.kind == "AggregatorTimeout"]
-    answered_by = {e.payload["agg_index"] for e in run.contract.events
-                   if e.kind == "BlockSubmitted"}
-    assert 2 not in answered_by
-    if run.metrics.answered < 8:
-        assert timeouts  # any unanswered round must have burned its attempts
+    monkeypatch.setattr(circuits.TransparentBackend, "verify", recording)
+    config = dataclasses.replace(bundled_scenarios()["safety_wrong_hash_n4"], rounds=3)
+    run = run_scenario(config)
+    assert {circuit_id for circuit_id, _ in payloads} == {"aggregation", "slash"}
+    secrets = {str(node.keypair.sk).encode() for node in run.nodes}
+    for _, payload in payloads:
+        assert not secrets & set(re.findall(rb"\d+", payload))

@@ -7,8 +7,8 @@ from dataclasses import astuple
 
 from zkoracle import circuits, eddsa
 from zkoracle.circuits import AGGREGATION, SLASH, build_aggregation_witness, prove
-from zkoracle.contract import (RANDOMIZED, ROUND_ROBIN, Contract, Params,
-                               conservation_trace, dump_log, parse_log, replay)
+from zkoracle.contract import (Contract, Params, conservation_trace, dump_log,
+                               parse_log, replay)
 from zkoracle.errors import OracleError
 from zkoracle.merkle import dump_snapshot
 from zkoracle.nodes import make_vote
@@ -24,7 +24,7 @@ def state(c):
     return (c.state_root, dump_snapshot(c.tree_snapshot()), dict(c.owner_of),
             dict(c.ip_of), dict(c.exit_time_of),
             {k: astuple(r) for k, r in c.requests.items()}, c.escrow,
-            c.next_request_id, c.aggregator_cursor, c.seed_point, c.timeout_count,
+            c.next_request_id, c.aggregator_cursor,
             set(c.slashed), list(c.events))
 
 
@@ -78,14 +78,12 @@ def op_submit(c, rng):
     block_hash = rng.choice((777, 888))
     votes = [make_vote(SECRET[c.account(i).pubkey], i, request.id, block_hash)
              for i in sorted(rng.sample(members, t))]
-    seed = c.seed_point if c.params.aggregator_mode == RANDOMIZED else None
     public, witness = build_aggregation_witness(
-        c.tree_snapshot(), named, votes, request.id, block_hash, seed=seed,
-        aggregator_secret=SECRET[c.account(named).pubkey])
+        c.tree_snapshot(), named, votes, request.id, block_hash)
     proof = prove("transparent", AGGREGATION, public, witness)
     post = public.post_state_root + (rng.random() < 0.1)
     c.submit_block(owner_or_stranger(c, rng, aggregator), request.id, block_hash,
-                   public.validator_bits, post, proof, next_seed=public.next_seed)
+                   public.validator_bits, post, proof)
     return "foreign-aggregator" if named != aggregator else None
 
 
@@ -120,8 +118,7 @@ def test_random_transactions_replay_atomically():
     outcomes = {}
     for seq in range(8):
         rng = random.Random(7000 + seq)
-        mode = (ROUND_ROBIN, RANDOMIZED)[seq % 2]
-        c = Contract(Params(depth=2, aggregator_mode=mode))
+        c = Contract(Params(depth=2))
         for i in range(rng.randint(3, 4)):
             c.register(f"o{i}", KEYS[i].pk, "10.0.0.1", 100)
         for _ in range(60):
