@@ -171,10 +171,6 @@ class ConstraintMeter:
         rhs = (1 + D * pt.x * pt.x % P * pt.y % P * pt.y) % P
         self.assert_eq(lhs, rhs, site)
 
-    def point_add(self, p: Point, q: Point) -> Point:
-        self.count += COST_POINT_ADD
-        return curve.add(p, q)
-
     def scalar_mul(self, k: int, p: Point) -> Point:
         self.count += COST_SCALAR_MUL
         return curve.scalar_mul(k, p)
@@ -223,9 +219,12 @@ def _verify_sig(cs: ConstraintMeter, pk: Point, msg: int, sig: Signature, site: 
     cs.on_curve(sig.r, f"{site}.r-on-curve")
     c = cs.mimc([sig.r.x, sig.r.y, pk.x, pk.y, msg]) % L
     lhs = cs.scalar_mul_base(sig.s % L)
-    rhs = cs.point_add(sig.r, cs.scalar_mul(c, pk))
-    cs.assert_eq(lhs.x, rhs.x, f"{site}.sig-x")
-    cs.assert_eq(lhs.y, rhs.y, f"{site}.sig-y")
+    # R + c*pk stays projective; Z is 0 only if R or c*pk is off the curve,
+    # which the on-curve assertions above have already failed
+    cs.count += COST_POINT_ADD
+    x, y, z = curve.add_projective(sig.r, cs.scalar_mul(c, pk))
+    cs.assert_eq(lhs.x * z % P, x, f"{site}.sig-x")
+    cs.assert_eq(lhs.y * z % P, y, f"{site}.sig-y")
 
 
 def check_aggregation(public: AggregationPublic,
@@ -379,8 +378,9 @@ def build_slash_witness(tree: StateTree, agg_index: int, victim_vote, request_id
 
 # -- witness serialization (decimal JSON records) ----------------------------
 # Decoding is strict about values: a field element is the decimal string of a
-# value in [0, P), an index is a JSON integer (not true or false), and a
-# proof's directions are the low D bits of its account's index.
+# value in [0, P), a signature's s is also below L, an index is a JSON integer
+# (not true or false), and a proof's directions are the low D bits of its
+# account's index.
 
 
 def _elements(raws) -> list:
@@ -443,6 +443,8 @@ def _vote_witness_from(obj) -> VoteWitness:
     signature = obj["signature"]
     rx, ry, s, block_hash = _elements(
         [*_coordinates(signature["r"]), signature["s"], obj["block_hash"]])
+    if s >= L:  # the circuit reduces s mod L, so (R, s + L) would verify too
+        raise ValueError("signature scalar s is not below L")
     return VoteWitness(*_member_from(obj["account"], obj["proof"]),
                        Signature(Point(rx, ry), s), block_hash)
 

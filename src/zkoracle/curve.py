@@ -28,12 +28,19 @@ the one that returns the affine result.  Both multipliers are combs:
   A point seen once pays the 204 doublings of its table on top, which is
   about what the per-call 4-bit windows it replaced cost.
 
-Affine ``add`` shares one inversion of (1 + dxy)(1 - dxy) between both
-coordinates.  Inverses come from ``pow(z, -1, P)`` (extended Euclid, about ten
-times faster than Fermat's z^(P-2)), and 0 maps to 0 as under Fermat, so an
-off-curve input still yields a point instead of raising.  On-curve results
-do not depend on the method; off-curve ones do, and every caller rejects
-off-curve points before their products matter.
+Signature checks compare s*G with R + c*pk projectively: ``add_projective``
+returns R + c*pk as (X, Y, Z) with Z = (1 + dxy)(1 - dxy), and the check is
+s*G.x * Z = X and s*G.y * Z = Y, so a warm check makes no inversion.  Z is
+nonzero for on-curve inputs (the addition law is complete), and every caller
+rejects off-curve points before the comparison matters.  Affine ``add``
+divides by the same Z with one inversion; only the tests and the benchmark's
+layer hooks still call it.
+
+Inverses come from ``pow(z, -1, P)`` (extended Euclid, about ten times faster
+than Fermat's z^(P-2)), and 0 maps to 0 as under Fermat, so an off-curve
+input still yields a point instead of raising.  On-curve results do not
+depend on the method; off-curve ones do, and every caller rejects off-curve
+points before their products matter.
 """
 
 from functools import lru_cache
@@ -93,6 +100,17 @@ def add(p: Point, q: Point) -> Point:
         x3 = (x1 * y2 + y1 * x2) * _inverse(1 + dxy) % P
         y3 = (y1 * y2 - A * x1 * x2) * _inverse(1 - dxy) % P
     return Point(x3, y3)
+
+
+def add_projective(p: Point, q: Point) -> tuple:
+    """p + q as projective (X, Y, Z), x = X/Z and y = Y/Z, without the
+    inversion: Z = (1 + dxy)(1 - dxy), which is 0 only off the curve."""
+    x1, y1 = p
+    x2, y2 = q
+    dxy = D * x1 * x2 % P * y1 % P * y2 % P
+    return ((x1 * y2 + y1 * x2) * (1 - dxy) % P,
+            (y1 * y2 - A * x1 * x2) * (1 + dxy) % P,
+            (1 + dxy) * (1 - dxy) % P)
 
 
 # -- extended coordinates (X:Y:Z:T) with x = X/Z, y = Y/Z, T = XY/Z ----------

@@ -10,6 +10,7 @@ from typing import NamedTuple
 from . import curve
 from .curve import L, Point
 from .errors import InvalidInput, InvalidKey, InvalidPoint
+from .field import P
 from .mimc import mimc_hash
 
 
@@ -48,9 +49,10 @@ def sign(sk: int, msg: int) -> Signature:
 
 
 def verify_sig(pk: Point, msg: int, sig: Signature) -> bool:
-    """True iff 0 <= s < L and s*G = R + c*pk.  An off-curve pk or R raises
-    instead of returning False; an s outside [0, L) returns False, so
-    (R, s + L) is not a second signature."""
+    """True iff 0 <= s < L and s*G = R + c*pk, compared projectively as the
+    circuits compare it.  An off-curve pk or R raises instead of returning
+    False; an s outside [0, L) returns False, so (R, s + L) is not a second
+    signature."""
     if not curve.is_on_curve(pk):
         raise InvalidPoint("public key not on curve")
     if not curve.is_on_curve(sig.r):
@@ -58,7 +60,9 @@ def verify_sig(pk: Point, msg: int, sig: Signature) -> bool:
     if not 0 <= sig.s < L:
         return False
     c = challenge(sig.r, pk, msg)
-    return curve.scalar_mul_base(sig.s) == curve.add(sig.r, curve.scalar_mul(c, pk))
+    lhs = curve.scalar_mul_base(sig.s)
+    x, y, z = curve.add_projective(sig.r, curve.scalar_mul(c, pk))
+    return lhs.x * z % P == x and lhs.y * z % P == y
 
 
 def encode_signature(sig: Signature) -> bytes:

@@ -144,15 +144,16 @@ class OracleNode:
 
     # -- validator side -----------------------------------------------------
 
-    def on_request(self, request_id: int, block_number: int, chain) -> Vote:
-        """Answer a request from the synced chain view; 0 means 'absent or not
-        final', which is a definitive answer, unlike an unreachable chain."""
+    def answer(self, block_number: int, chain) -> int:
+        """The block hash this node answers a request for block_number with,
+        from the synced chain view; 0 means 'absent or not final', which is a
+        definitive answer, unlike an unreachable chain.  Signing it is the
+        caller's step, so an answer that never goes on the wire costs no
+        signature."""
         block = chain.block_at(block_number)
         if block is None or not check_finality(chain, block_number, self.finality):
-            block_hash = 0
-        else:
-            block_hash = block.hash % P
-        return make_vote(self.keypair.sk, self.index, request_id, block_hash)
+            return 0
+        return block.hash % P
 
     # -- aggregator side ------------------------------------------------------
 

@@ -254,20 +254,22 @@ class ScenarioRun:
 # -- scenario execution ------------------------------------------------------------
 
 
-def _behavior_plan(behavior: str, node: OracleNode, honest, request_id: int,
+def _behavior_plan(behavior: str, node: OracleNode, answer: int, request_id: int,
                    round_index: int):
-    """Votes a node puts on the wire, in send order."""
+    """Votes a node puts on the wire, in send order; only these are signed."""
+    def vote(block_hash):
+        return make_vote(node.keypair.sk, node.index, request_id, block_hash)
+
     if behavior in (HONEST, OFFLINE_AGGREGATOR):
-        return [honest]
+        return [vote(answer)]
     if behavior == DUPLICATE_VOTE:
-        return [honest, honest]
-    wrong = make_vote(node.keypair.sk, node.index, request_id,
-                      (honest.block_hash + 1) % P)
+        return [vote(answer)] * 2
     if behavior == WRONG_HASH:
-        return [wrong]
+        return [vote((answer + 1) % P)]
     if behavior == ZERO_VOTE:
-        return [make_vote(node.keypair.sk, node.index, request_id, 0)]
+        return [vote(0)]
     if behavior == EQUIVOCATE:
+        honest, wrong = vote(answer), vote((answer + 1) % P)
         return [wrong, honest] if round_index % 2 == 0 else [honest, wrong]
     raise ConfigError(f"unknown behavior {behavior!r}")
 
@@ -330,8 +332,8 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
     plans = {}
     for node in nodes:
         node.sync(contract.events)
-        honest = node.on_request(request_id, block_number, chain)
-        plans[node.index] = _behavior_plan(behavior[node.index], node, honest,
+        answer = node.answer(block_number, chain)
+        plans[node.index] = _behavior_plan(behavior[node.index], node, answer,
                                            request_id, round_index)
 
     heap = []

@@ -5,6 +5,7 @@ import random
 from functools import cache
 
 from zkoracle import eddsa
+from zkoracle.circuits import COST_POINT_ADD
 from zkoracle.curve import (_EXT_IDENTITY, A, D, GENERATOR, IDENTITY, L, Point,
                             _ext_add, _ext_double, _to_ext)
 from zkoracle.errors import IndexMismatch, IndexOutOfRange
@@ -38,9 +39,9 @@ def hostile_payloads(payload):
     False.  The first ones once escaped verification with RecursionError,
     AttributeError, IndexError or OverflowError.  The rest are ones a lax
     decoder reads as the honest witness: a value of another JSON type, a
-    field element plus P, directions that are not the index bits.  They edit
-    the aggregator's account and proof, which both circuits carry, and the
-    first signature."""
+    field element plus P, a signature scalar plus L, directions that are not
+    the index bits.  They edit the aggregator's account and proof, which both
+    circuits carry, and the first signature."""
     mutants = [b"[" * 200000, b"[]", b"null", b"1", b'"aggregator"']
     original = json.loads(payload)
     assert original["aggregator"]["index"] in (0, 1)  # so that bool() keeps it
@@ -48,6 +49,9 @@ def hostile_payloads(payload):
 
     def plus_p(raw):
         return str(int(raw) + P)
+
+    def plus_l(raw):
+        return str(int(raw) + L)
 
     for path, change in [
             (("aggregator", "pubkey"), lambda pk: pk[:1]),
@@ -59,6 +63,7 @@ def hostile_payloads(payload):
             (("aggregator", "pubkey", 0), plus_p),
             (("aggregator_proof", "path", 0), plus_p),
             (first_sig + ("r", 0), plus_p),
+            (first_sig + ("s",), plus_l),
             (("aggregator_proof", "directions"), lambda _: [7] * 1000)]:
         obj = json.loads(payload)
         record = obj
@@ -78,6 +83,13 @@ def random_occupied_tree(rng: random.Random, depth, keys, min_occupied):
     for i in indices:
         tree.set_account(i, Account(i, keys[i].pk, rng.randint(0, 10_000)))
     return tree, indices
+
+
+# a point of order 8, outside the prime-order subgroup: c*ORDER_8 depends only on
+# c mod 8, and its coordinates are both nonzero
+ORDER_8 = Point(
+    17545522957889784193459637215142187266023652151580582754000402781682644312291,
+    4826523245007015323400664741523384119579596407052839571721035538011798951543)
 
 
 # -- reference curve kernels -------------------------------------------------------
@@ -137,6 +149,24 @@ def ref_scalar_mul_base(k):
             acc = _ext_add(acc, power)
         k >>= 1
     return _ref_from_ext(acc)
+
+
+# -- reference signature gadget -------------------------------------------------------
+# The affine form circuits._verify_sig replaced: R + c*pk is normalised with an
+# inversion and compared coordinate by coordinate.  check_aggregation and
+# check_slash must report the same ok, count and failure_site with either.
+
+
+def ref_verify_sig(cs, pk, msg, sig, site):
+    """s*G = R + c*pk with R + c*pk as an affine point."""
+    cs.on_curve(pk, f"{site}.pk-on-curve")
+    cs.on_curve(sig.r, f"{site}.r-on-curve")
+    c = cs.mimc([sig.r.x, sig.r.y, pk.x, pk.y, msg]) % L
+    lhs = cs.scalar_mul_base(sig.s % L)
+    cs.count += COST_POINT_ADD
+    rhs = ref_add(sig.r, cs.scalar_mul(c, pk))
+    cs.assert_eq(lhs.x, rhs.x, f"{site}.sig-x")
+    cs.assert_eq(lhs.y, rhs.y, f"{site}.sig-y")
 
 
 # -- reference duplicate-vote check -------------------------------------------------

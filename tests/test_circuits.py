@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import (build_committee, honest_votes, hostile_payloads,
-                     random_occupied_tree, ref_assert_distinct)
-from zkoracle import curve, eddsa
+from helpers import (ORDER_8, build_committee, honest_votes, hostile_payloads,
+                     random_occupied_tree, ref_assert_distinct, ref_verify_sig)
+from zkoracle import circuits, curve, eddsa
 from zkoracle.circuits import (AGGREGATION, SLASH, AggregationPublic,
                                AggregationWitness, ConstraintMeter, VoteWitness,
                                aggregation_witness_from_obj,
@@ -19,7 +19,7 @@ from zkoracle.circuits import (AGGREGATION, SLASH, AggregationPublic,
 from zkoracle.errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
 from zkoracle.field import P
 from zkoracle.merkle import Account
-from zkoracle.nodes import make_vote
+from zkoracle.nodes import Vote, make_vote, vote_message
 
 AGG_REWARD = 50
 VAL_REWARD = 10
@@ -215,6 +215,103 @@ def test_off_curve_victim_key_or_r_fails_on_curve_site():
         assert not report.ok
         assert report.failure_site == site
         assert report.constraint_count == SLASH_COUNT_D2
+
+
+def _zero_z_vote(index, request_id, block_hash):
+    """A vote under the key ORDER_8 whose off-curve R makes R + c*ORDER_8
+    projective with Z = (1 + dxy)(1 - dxy) = 0: R is chosen for each odd
+    multiple Q of ORDER_8 so that d*R.x*R.y*Q.x*Q.y = 1, until its challenge
+    c gives c*ORDER_8 = Q."""
+    msg = vote_message(index, request_id, block_hash)
+    targets = [curve.scalar_mul(k, ORDER_8) for k in (1, 3, 5, 7)]
+    for rx in range(1, 100):
+        for q in targets:
+            r = curve.Point(rx, pow(curve.D * rx * q.x * q.y, -1, P))
+            c = eddsa.challenge(r, ORDER_8, msg)
+            if curve.scalar_mul(c, ORDER_8) == q:
+                assert curve.add_projective(r, q)[2] == 0
+                return Vote(index, request_id, block_hash, eddsa.Signature(r, 1))
+    raise AssertionError("no R found")
+
+
+def _with_s_plus_l(vote_witness):
+    sig = vote_witness.signature
+    return replace(vote_witness, signature=eddsa.Signature(sig.r, sig.s + curve.L))
+
+
+def test_signature_check_matches_affine_reference(monkeypatch):
+    # the projective comparison reports what the affine one did, on every
+    # witness: honest, decodable hostile payloads, off-curve R or pk, R + c*pk
+    # with Z = 0, and s + L (which only the decoder rejects)
+    tree, keys, _, public, witness = honest_instance()
+    s_public, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888),
+                                              5, 777)
+    cases = [(check_aggregation, public, witness), (check_slash, s_public, s_witness)]
+    for circuit, pub, wit, check, decode in (
+            (AGGREGATION, public, witness, check_aggregation, aggregation_witness_from_obj),
+            (SLASH, s_public, s_witness, check_slash, slash_witness_from_obj)):
+        # the decoders reject every mutant there is today; one added later
+        # that decodes is compared here too
+        for payload in hostile_payloads(prove("transparent", circuit, pub, wit).payload):
+            try:
+                cases.append((check, pub, decode(json.loads(payload))))
+            except (KeyError, ValueError, TypeError, RecursionError):
+                pass
+
+    key_tree, key_keys = _with_off_curve_key(1)
+    cases.append((check_aggregation, *build_aggregation_witness(
+        key_tree, 0, honest_votes(key_keys, range(3), 5, 777), 5, 777)))
+    key_tree, key_keys = _with_off_curve_key(3)
+    cases.append((check_slash, *build_slash_witness(
+        key_tree, 0, make_vote(key_keys[3].sk, 3, 9, 555), 9, 666)))
+    votes = list(witness.votes)
+    cases.append((check_aggregation, public, replace(
+        witness, votes=(_with_off_curve_r(votes[0]), *votes[1:]))))
+    cases.append((check_slash, s_public,
+                  replace(s_witness, victim=_with_off_curve_r(s_witness.victim))))
+
+    torsion_tree, torsion_keys = build_committee(2)
+    torsion_tree.set_account(2, Account(2, ORDER_8, 100))
+    torsion_tree.set_account(3, Account(3, ORDER_8, 100))
+    cases.append((check_aggregation, *build_aggregation_witness(
+        torsion_tree, 0, honest_votes(torsion_keys, [0, 1], 5, 777)
+        + [_zero_z_vote(2, 5, 777)], 5, 777)))
+    cases.append((check_slash, *build_slash_witness(
+        torsion_tree, 0, _zero_z_vote(3, 9, 555), 9, 666)))
+
+    cases.append((check_aggregation, public, replace(
+        witness, votes=(_with_s_plus_l(votes[0]), *votes[1:]))))
+    cases.append((check_slash, s_public,
+                  replace(s_witness, victim=_with_s_plus_l(s_witness.victim))))
+
+    reports = [check(pub, wit) for check, pub, wit in cases]
+    monkeypatch.setattr(circuits, "_verify_sig", ref_verify_sig)
+    assert reports == [check(pub, wit) for check, pub, wit in cases]
+    sites = [report.failure_site for report in reports[-8:-2]]
+    assert sites == ["vote[1].pk-on-curve", "victim.pk-on-curve", "vote[0].r-on-curve",
+                     "victim.r-on-curve", "vote[2].r-on-curve", "victim.r-on-curve"]
+    assert [report.ok for report in reports[:2] + reports[-2:]] == [True] * 4
+
+
+def test_warm_signature_checks_make_no_inversion(monkeypatch):
+    _, keys, votes, public, witness = honest_instance()
+    msg = vote_message(0, 5, 777)
+    assert check_aggregation(public, witness).ok  # fills the scalar caches
+    assert eddsa.verify_sig(keys[0].pk, msg, votes[0].signature)
+
+    inversions = 0
+    inverse = curve._inverse
+
+    def counting(z):
+        nonlocal inversions
+        inversions += 1
+        return inverse(z)
+
+    monkeypatch.setattr(curve, "_inverse", counting)
+    assert check_aggregation(public, witness).ok
+    assert inversions == 0
+    assert eddsa.verify_sig(keys[0].pk, msg, votes[0].signature)
+    assert inversions == 0
 
 
 def test_nonmember_account_fails_membership():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import ref_add, ref_scalar_mul, ref_scalar_mul_base
+from helpers import ORDER_8, ref_add, ref_scalar_mul, ref_scalar_mul_base
 from zkoracle import curve, eddsa
 from zkoracle.curve import (GENERATOR, IDENTITY, D, L, Point, add, decode_point,
                             encode_point, is_on_curve, scalar_mul,
@@ -58,9 +58,6 @@ def test_scalar_mul_distributes():
 # -- fast kernels against the reference forms in helpers.py ---------------------
 
 TORSION = [IDENTITY, Point(0, P - 1)]  # (0, 1) and the point of order 2
-ORDER_8 = Point(
-    17545522957889784193459637215142187266023652151580582754000402781682644312291,
-    4826523245007015323400664741523384119579596407052839571721035538011798951543)
 
 
 def test_kernels_match_reference():

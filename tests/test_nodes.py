@@ -100,25 +100,23 @@ def test_on_request_happy_path():
     contract, nodes = committee_with_contract()
     chain = MockChain(random.Random(3))
     chain.advance(20)
-    vote = nodes[1].on_request(0, 10, chain)
-    assert vote.block_hash == chain.block_at(10).hash
-    assert vote.validator_index == 1
+    assert nodes[1].answer(10, chain) == chain.block_at(10).hash
 
 
 def test_on_request_absent_block_votes_zero():
     contract, nodes = committee_with_contract()
     chain = MockChain(random.Random(4))
     chain.advance(20)
-    assert nodes[1].on_request(0, 999, chain).block_hash == 0
+    assert nodes[1].answer(999, chain) == 0
 
 
 def test_on_request_unfinal_block_votes_zero():
     contract, nodes = committee_with_contract()
     chain = MockChain(random.Random(5))
     chain.advance(10)  # tip 10; block 5 has exactly 5 < 6 confirmations
-    assert nodes[1].on_request(0, 5, chain).block_hash == 0
+    assert nodes[1].answer(5, chain) == 0
     chain.advance(1)
-    assert nodes[1].on_request(0, 5, chain).block_hash == chain.block_at(5).hash
+    assert nodes[1].answer(5, chain) == chain.block_at(5).hash
 
 
 class RpcDown(Exception):
@@ -136,7 +134,7 @@ def test_on_request_unreachable_chain_is_retryable():
     # a chain error propagates instead of turning into a zero vote
     contract, nodes = committee_with_contract()
     with pytest.raises(RpcDown):
-        nodes[1].on_request(0, 10, DownChain())
+        nodes[1].answer(10, DownChain())
 
 
 # -- mempool / aggregator vote intake -----------------------------------------------------

@@ -1,12 +1,13 @@
 """Simulation harness tests: chain, bus, scenarios, determinism."""
 
+import collections
 import dataclasses
 import random
 import re
 
 import pytest
 
-from zkoracle import circuits
+from zkoracle import circuits, eddsa
 from zkoracle.cli import bundled_scenarios
 from zkoracle.contract import dump_events
 from zkoracle.errors import ConfigError
@@ -180,6 +181,27 @@ def test_equivocate_and_duplicate_behaviors():
     assert run.metrics.safety_violations == 0
     assert sum(r.slashes for r in run.metrics.rows) == 0
     assert verify_run(run) == []
+
+
+def test_only_votes_sent_are_signed(monkeypatch):
+    # one node of each adversary kind: every node signs the one vote it sends
+    # (a duplicate voter sends the same vote twice), the equivocator two
+    signed = collections.Counter()
+    sign = eddsa.sign
+
+    def counting(sk, msg):
+        signed[sk] += 1
+        return sign(sk, msg)
+
+    monkeypatch.setattr(eddsa, "sign", counting)
+    rounds = 2
+    run = run_scenario(ScenarioConfig(
+        depth=4, committee=16, rounds=rounds, seed=36,
+        adversaries={0: "offline_aggregator", 3: "duplicate_vote",
+                     6: "wrong_hash", 9: "equivocate", 12: "zero_vote"}))
+    assert signed == {node.keypair.sk: rounds * (2 if node.index == 9 else 1)
+                      for node in run.nodes}
+    assert sum(signed.values()) == 17 * rounds
 
 
 def test_total_drop_stalls_liveness():
