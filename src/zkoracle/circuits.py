@@ -14,13 +14,13 @@ would be of a SNARK's verifying key; no caller can choose other values.  The
 event log's params header restates them, and a log that states other values
 is corrupt.
 
-The default proof backend is transparent: the proof is the serialized witness
+The one proof backend is transparent: the proof is the serialized witness
 and verification re-executes the circuit against the claimed public inputs.
 That is complete and sound by construction but explicitly not zero-knowledge;
-a real SNARK backend can be registered behind the same interface.  Because a
-transparent proof publishes its witness, no witness holds a secret: only
-accounts, Merkle paths and the votes, each with the signature its validator
-already sent over the wire.
+a SNARK backend would sit behind the same `prove` / `verify` interface, which
+names the backend in every call.  Because a transparent proof publishes its
+witness, no witness holds a secret: only accounts, Merkle paths and the
+votes, each with the signature its validator already sent over the wire.
 """
 
 import json
@@ -511,23 +511,20 @@ class TransparentBackend:
         return report.ok
 
 
-_BACKENDS = {TransparentBackend.backend_id: TransparentBackend()}
+_TRANSPARENT = TransparentBackend()
 
 
-def get_backend(backend_id: str):
-    try:
-        return _BACKENDS[backend_id]
-    except KeyError:
-        raise UnknownBackend(f"unknown backend: {backend_id}") from None
+def _backend(backend_id: str, circuit_id: str) -> TransparentBackend:
+    if circuit_id not in (AGGREGATION, SLASH):
+        raise UnknownBackend(f"unknown circuit: {circuit_id}")
+    if backend_id != TransparentBackend.backend_id:
+        raise UnknownBackend(f"unknown backend: {backend_id}")
+    return _TRANSPARENT
 
 
 def prove(backend_id: str, circuit_id: str, public, witness) -> Proof:
-    if circuit_id not in (AGGREGATION, SLASH):
-        raise UnknownBackend(f"unknown circuit: {circuit_id}")
-    return get_backend(backend_id).prove(circuit_id, public, witness)
+    return _backend(backend_id, circuit_id).prove(circuit_id, public, witness)
 
 
 def verify(backend_id: str, circuit_id: str, public, proof: Proof) -> bool:
-    if circuit_id not in (AGGREGATION, SLASH):
-        raise UnknownBackend(f"unknown circuit: {circuit_id}")
-    return get_backend(backend_id).verify(circuit_id, public, proof)
+    return _backend(backend_id, circuit_id).verify(circuit_id, public, proof)

@@ -287,19 +287,6 @@ def scalar_mul_base(k: int) -> Point:
     return _from_ext(acc)
 
 
-def encode_point(p: Point) -> bytes:
-    """x || y, 64 bytes big-endian."""
-    return p.x.to_bytes(32, "big") + p.y.to_bytes(32, "big")
-
-
-def decode_point(data: bytes) -> Point:
-    """Inverse of encode_point for on-curve points; anything else raises."""
-    if len(data) != 64:
-        raise InvalidPoint(f"expected 64 bytes, got {len(data)}")
-    return require_on_curve(Point(int.from_bytes(data[:32], "big"),
-                                  int.from_bytes(data[32:], "big")))
-
-
 # two scalars whose signed digits are nonzero in every row, so the check reads
 # every row with both signs: row i < 41 gives the digit +-((5 i mod 31) + 1),
 # with opposite signs in the two scalars and alternating from row to row, and

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from . import curve
 from .curve import L, Point
-from .errors import InvalidInput, InvalidKey, InvalidPoint
+from .errors import InvalidKey, InvalidPoint
 from .field import P
 from .mimc import mimc_hash
 
@@ -63,18 +63,3 @@ def verify_sig(pk: Point, msg: int, sig: Signature) -> bool:
     lhs = curve.scalar_mul_base(sig.s)
     x, y, z = curve.add_projective(sig.r, curve.scalar_mul(c, pk))
     return lhs.x * z % P == x and lhs.y * z % P == y
-
-
-def encode_signature(sig: Signature) -> bytes:
-    """R.x || R.y || s, 96 bytes big-endian."""
-    return curve.encode_point(sig.r) + sig.s.to_bytes(32, "big")
-
-
-def decode_signature(data: bytes) -> Signature:
-    """Inverse of encode_signature for an on-curve R and a canonical s < L."""
-    if len(data) != 96:
-        raise InvalidPoint(f"expected 96 bytes, got {len(data)}")
-    s = int.from_bytes(data[64:], "big")
-    if s >= L:
-        raise InvalidInput("signature scalar s must be below L")
-    return Signature(curve.decode_point(data[:64]), s)

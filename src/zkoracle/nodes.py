@@ -2,8 +2,9 @@
 
 Every node is a single-threaded event processor over immutable messages; its
 account tree is mutated only by its own sync loop, replaying the contract's
-event log.  Votes travel as fixed-layout records so independent nodes produce
-bit-identical submissions from the same log and chain view.
+event log.  Votes are immutable values and the aggregator packages them in
+ascending validator index, so independent nodes produce bit-identical
+submissions from the same log and chain view.
 """
 
 from dataclasses import dataclass
@@ -12,13 +13,13 @@ from typing import Optional
 from . import circuits, eddsa
 from .circuits import AGGREGATION, SLASH, Proof, check_aggregation, check_slash
 from .contract import Params, apply_event_to_tree, apply_slash_transfer
-from .errors import CorruptLog, InvalidInput, OracleError
+from .errors import CorruptLog, OracleError
 from .eddsa import Signature
 from .field import P
 from .merkle import StateTree
 from .mimc import mimc_hash
 
-DEFAULT_FINALITY = 6
+FINALITY = 6  # confirmations past a block before validators answer for it
 
 
 @dataclass(frozen=True)
@@ -36,26 +37,6 @@ def vote_message(validator_index: int, request_id: int, block_hash: int) -> int:
 def make_vote(sk: int, validator_index: int, request_id: int, block_hash: int) -> Vote:
     msg = vote_message(validator_index, request_id, block_hash)
     return Vote(validator_index, request_id, block_hash, eddsa.sign(sk, msg))
-
-
-def encode_vote(vote: Vote) -> bytes:
-    """index (8 BE) || request id (8 BE) || block hash (32) || signature (96)."""
-    return (vote.validator_index.to_bytes(8, "big")
-            + vote.request_id.to_bytes(8, "big")
-            + vote.block_hash.to_bytes(32, "big")
-            + eddsa.encode_signature(vote.signature))
-
-
-def decode_vote(data: bytes) -> Vote:
-    if len(data) != 144:
-        raise OracleError(f"vote record must be 144 bytes, got {len(data)}")
-    block_hash = int.from_bytes(data[16:48], "big")
-    if block_hash >= P:
-        raise InvalidInput(f"block hash {block_hash} outside [0, P)")
-    return Vote(int.from_bytes(data[:8], "big"),
-                int.from_bytes(data[8:16], "big"),
-                block_hash,
-                eddsa.decode_signature(data[48:]))
 
 
 def check_finality(chain, block_number: int, threshold: int) -> bool:
@@ -119,12 +100,10 @@ class SlashAction:
 
 
 class OracleNode:
-    def __init__(self, name: str, keypair: eddsa.KeyPair, params: Params,
-                 finality: int = DEFAULT_FINALITY):
+    def __init__(self, name: str, keypair: eddsa.KeyPair, params: Params):
         self.name = name
         self.keypair = keypair
         self.params = params
-        self.finality = finality
         self.backend = circuits.TransparentBackend()
         self.index: Optional[int] = None  # assigned when registered on-chain
         self.local_tree = StateTree(params.depth)
@@ -151,7 +130,7 @@ class OracleNode:
         caller's step, so an answer that never goes on the wire costs no
         signature."""
         block = chain.block_at(block_number)
-        if block is None or not check_finality(chain, block_number, self.finality):
+        if block is None or not check_finality(chain, block_number, FINALITY):
             return 0
         return block.hash % P
 

@@ -9,16 +9,17 @@ metrics and event logs.
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import eddsa
-from .contract import Contract, Params, PENDING, conservation_trace
+from .contract import MAX_LOG_DEPTH, MIN_STAKE, Contract, Params, conservation_trace
 from .errors import ConfigError
 from .field import P
 from .mimc import mimc_hash
-from .nodes import OracleNode, make_vote
+from .nodes import FINALITY, OracleNode, make_vote
 
 HONEST = "honest"
 WRONG_HASH = "wrong_hash"
@@ -32,6 +33,8 @@ BEHAVIORS = (HONEST, WRONG_HASH, ZERO_VOTE, EQUIVOCATE, DUPLICATE_VOTE,
 # behaviors that can put a wrong hash on the wire
 _DISSENTING = (WRONG_HASH, ZERO_VOTE, EQUIVOCATE)
 
+T_AGG = 60.0  # seconds an aggregator has before anyone may time it out
+
 
 # -- mock source blockchain ----------------------------------------------------
 
@@ -44,14 +47,12 @@ class Block:
 
 
 class MockChain:
-    """Longest-chain toy blockchain with explicit fork injection."""
+    """Toy source chain: one branch of hash-linked blocks that only grows, so
+    a block that is final stays final."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
-        genesis = self._mint(0, 0)
-        self.blocks = [genesis]
-        self.fork = []
-        self.fork_attach = None
+        self.blocks = [self._mint(0, 0)]
 
     def _mint(self, number: int, parent_hash: int) -> Block:
         nonce = self.rng.getrandbits(64)
@@ -66,30 +67,10 @@ class MockChain:
             return self.blocks[number]
         return None
 
-    def advance(self, k: int, fork_spec=None) -> None:
-        """Append k canonical blocks; optionally grow a side branch.
-
-        fork_spec = (attach_number, length).  The branch forks off the block
-        at attach_number; if it outgrows the canonical tip the chain reorgs
-        onto it (longest chain wins) and blocks past the attach point die.
-        """
+    def advance(self, k: int) -> None:
+        """Append k blocks."""
         for _ in range(k):
             self.blocks.append(self._mint(self.tip + 1, self.blocks[-1].hash))
-        if fork_spec is None:
-            return
-        attach, length = fork_spec
-        if self.fork_attach != attach:
-            self.fork = []
-            self.fork_attach = attach
-        parent = self.fork[-1] if self.fork else self.blocks[attach]
-        for _ in range(length):
-            block = self._mint(parent.number + 1, parent.hash)
-            self.fork.append(block)
-            parent = block
-        if self.fork and self.fork[-1].number > self.tip:
-            self.blocks = self.blocks[:attach + 1] + self.fork
-            self.fork = []
-            self.fork_attach = None
 
 
 # -- message bus ---------------------------------------------------------------
@@ -127,34 +108,39 @@ class ScenarioConfig:
     depth: int = 2
     committee: int = 4
     rounds: int = 10
-    requests_per_round: int = 1
     adversaries: dict = field(default_factory=dict)  # validator index -> behavior
     drop_rate: float = 0.0
     max_delay: float = 0.05
-    t_agg: float = 60.0
-    finality: int = 6
     seed: int = 0
-    stakes: Optional[list] = None
     expect_violation: bool = False
 
     def params(self) -> Params:
         return Params(depth=self.depth)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # exact types (JSON true is no int), except that an int is a float
+            if type(value) is not f.type and (f.type, type(value)) != (float, int):
+                raise ConfigError(f"{f.name} must be of type {f.type.__name__}, "
+                                  f"got {value!r}")
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        # the event log's header admits no deeper tree
+        if not 1 <= self.depth <= MAX_LOG_DEPTH:
+            raise ConfigError(f"depth must be in [1, {MAX_LOG_DEPTH}]")
         p = self.params()
-        if self.depth < 1:
-            raise ConfigError("depth must be at least 1")
         if not 1 <= self.committee <= p.capacity:
             raise ConfigError(f"committee must be in [1, {p.capacity}]")
-        if self.rounds < 0 or self.requests_per_round < 1:
-            raise ConfigError("rounds must be >= 0, requests_per_round >= 1")
+        if self.rounds < 0:
+            raise ConfigError("rounds must be >= 0")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ConfigError("drop_rate must be in [0, 1]")
-        if self.max_delay < 0 or self.t_agg <= 0 or self.finality < 0:
-            raise ConfigError("delays, timeout and finality must be non-negative")
+        if self.max_delay < 0:
+            raise ConfigError("max_delay must be non-negative")
         dissenters = 0
         for index, behavior in self.adversaries.items():
-            if not 0 <= index < self.committee:
+            if type(index) is not int or not 0 <= index < self.committee:
                 raise ConfigError(f"adversary index {index} outside committee")
             if behavior not in BEHAVIORS:
                 raise ConfigError(f"unknown behavior {behavior!r}")
@@ -163,14 +149,13 @@ class ScenarioConfig:
         if dissenters >= p.threshold and not self.expect_violation:
             raise ConfigError("that many dissenters can break safety; "
                               "label the scenario with expect_violation")
-        if self.stakes is not None and len(self.stakes) != self.committee:
-            raise ConfigError("stakes list must match the committee size")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError also covers an integer literal too long to convert
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
@@ -178,10 +163,12 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "adversaries" in obj:
-            try:
-                obj["adversaries"] = {int(k): v for k, v in obj["adversaries"].items()}
-            except (ValueError, AttributeError):
-                raise ConfigError("adversaries must map indices to behaviors") from None
+            adversaries = obj["adversaries"]
+            # int() would also read " 1", "0_1" and non-ASCII digits
+            if type(adversaries) is not dict or not all(
+                    k.isascii() and k.isdigit() for k in adversaries):
+                raise ConfigError("adversaries must map decimal indices to behaviors")
+            obj["adversaries"] = {int(k): v for k, v in adversaries.items()}
         config = cls(**obj)
         config.validate()
         return config
@@ -284,46 +271,36 @@ def run_scenario(config: ScenarioConfig) -> ScenarioRun:
     params = config.params()
     contract = Contract(params)
 
-    nodes = []
-    by_index = {}
+    nodes = []  # node i registers at index i of the fresh contract
     for i in range(config.committee):
         keypair = eddsa.keygen(rng.getrandbits(256).to_bytes(32, "big"))
-        node = OracleNode(f"node-{i}", keypair, params, finality=config.finality)
-        stake = config.stakes[i] if config.stakes else params.min_stake
-        node.index = contract.register(node.name, keypair.pk, f"10.0.0.{i}", stake)
+        node = OracleNode(f"node-{i}", keypair, params)
+        node.index = contract.register(node.name, keypair.pk, f"10.0.0.{i}", MIN_STAKE)
         nodes.append(node)
-        by_index[node.index] = node
 
     behavior = {i: config.adversaries.get(i, HONEST) for i in range(config.committee)}
-    chain.advance(config.finality + 1)
+    chain.advance(FINALITY + 1)
 
     clock = 0.0
     rows = []
-    violations = 0
-    stalls = 0
     for round_index in range(config.rounds):
         chain.advance(1)
-        for _ in range(config.requests_per_round):
-            clock += 1.0
-            record, clock = _run_request(round_index, clock, chain, bus, contract,
-                                         nodes, by_index, behavior, config)
-            rows.append(record)
-            if record.answered and not record.correct:
-                violations += 1
-            if not record.answered:
-                stalls += 1
+        clock += 1.0
+        record, clock = _run_request(round_index, clock, chain, bus, contract,
+                                     nodes, behavior)
+        rows.append(record)
 
     balances = {i: contract.account(i).balance for i in contract.occupied_indices()}
-    metrics = Metrics(rows, violations, stalls,
-                      sum(1 for r in rows if r.answered), balances,
+    metrics = Metrics(rows, sum(r.answered and not r.correct for r in rows),
+                      sum(not r.answered for r in rows),
+                      sum(r.answered for r in rows), balances,
                       contract.state_root, contract.escrow)
     return ScenarioRun(config, metrics, contract, nodes)
 
 
-def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
-                 behavior, config):
+def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
     contract.set_time(clock)
-    block_number = chain.tip - config.finality
+    block_number = chain.tip - FINALITY
     expected = chain.block_at(block_number).hash
     request_id = contract.request_block("client-0", block_number,
                                         contract.params.request_fee)
@@ -355,11 +332,10 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
     attempts = 0
     max_attempts = len(contract.occupied_indices())
     solicit(contract.get_aggregator(), clock)
-    heapq.heappush(heap, (issue_time + config.t_agg, counter, "timeout", None))
+    heapq.heappush(heap, (issue_time + T_AGG, counter, "timeout", None))
     counter += 1
 
     answered = False
-    stalled = False
     answer_time = None
     answer_agg = None
     settle_time = clock
@@ -368,21 +344,20 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
     agg_constraints = 0
     slash_constraints = 0
 
-    while heap and not stalled:
+    while heap:
         at, _, kind, data = heapq.heappop(heap)
-        request = contract.requests[request_id]
         if kind == "vote":
             agg_index, vote = data
             if answered:
                 # the round's aggregator keeps listening so late dissents
                 # still land in its mempool before it issues the slashes
                 if agg_index == answer_agg:
-                    by_index[agg_index].on_vote(vote)
+                    nodes[agg_index].on_vote(vote)
                     settle_time = max(settle_time, at)
                 continue
             if agg_index != contract.get_aggregator():
                 continue  # stale delivery to a rotated-out aggregator
-            node = by_index[agg_index]
+            node = nodes[agg_index]
             if behavior[agg_index] == OFFLINE_AGGREGATOR:
                 continue  # ignores its aggregation duty; timeout will fire
             node.sync(contract.events)
@@ -400,21 +375,18 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
             settle_time = at
             agg_constraints = submission.constraint_count
         elif not answered:  # timeout on a still-pending request
-            if request.status != PENDING:
-                continue
             contract.set_time(at)
             contract.timeout_aggregator()
             attempts += 1
             if attempts >= max_attempts:
-                stalled = True
                 break
             solicit(contract.get_aggregator(), at)
-            heapq.heappush(heap, (issue_time + (attempts + 1) * config.t_agg,
+            heapq.heappush(heap, (issue_time + (attempts + 1) * T_AGG,
                                   counter, "timeout", None))
             counter += 1
 
     if answered:
-        node = by_index[answer_agg]
+        node = nodes[answer_agg]
         votes_received = node.mempool.count(request_id)
         contract.set_time(settle_time)
         node.sync(contract.events)
@@ -426,16 +398,14 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, by_index,
             slash_constraints += action.constraint_count
         clock = settle_time
     else:
-        stalled = True
-        clock = max(clock, issue_time + attempts * config.t_agg)
+        clock = max(clock, issue_time + attempts * T_AGG)
 
     record = RoundRecord(
         round=round_index,
         request_id=request_id,
         block_number=block_number,
         answered=answered,
-        correct=bool(answered
-                     and contract.requests[request_id].answer_hash == expected),
+        correct=answered and contract.requests[request_id].answer_hash == expected,
         latency=(answer_time - issue_time) if answered else None,
         votes_received=votes_received,
         slashes=slashes,

@@ -19,7 +19,7 @@ from zkoracle.errors import ExitTimeNotReached, StakeTooLow
 from zkoracle.merkle import Account, StateTree, dump_snapshot
 from zkoracle.nodes import make_vote
 from zkoracle.selfcheck import aggregation_brute_force, conservation_suite
-from zkoracle.simnet import ScenarioConfig, run_scenario
+from zkoracle.simnet import T_AGG, ScenarioConfig, run_scenario
 
 AGG_REWARD = 50
 VAL_REWARD = 10
@@ -155,7 +155,7 @@ def test_criterion_5_liveness_suite():
     for name in ("liveness_offline_n4", "liveness_offline_n8"):
         run = bundled_run(name)
         config = run.config
-        bound = config.committee * config.t_agg
+        bound = config.committee * T_AGG
         stalls += run.metrics.liveness_stalls
         late += sum(1 for r in run.metrics.rows
                     if not r.answered or r.latency > bound)

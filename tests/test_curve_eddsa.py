@@ -6,12 +6,10 @@ import pytest
 
 from helpers import ORDER_8, ref_add, ref_scalar_mul, ref_scalar_mul_base
 from zkoracle import curve, eddsa
-from zkoracle.curve import (GENERATOR, IDENTITY, D, L, Point, add, decode_point,
-                            encode_point, is_on_curve, scalar_mul,
-                            scalar_mul_base)
-from zkoracle.errors import InvalidKey, InvalidPoint, OracleError
+from zkoracle.curve import (GENERATOR, IDENTITY, D, L, Point, add, is_on_curve,
+                            scalar_mul, scalar_mul_base)
+from zkoracle.errors import InvalidKey, InvalidPoint
 from zkoracle.field import P
-from zkoracle.nodes import decode_vote, encode_vote, make_vote
 
 
 def naive_mul(k, pt):
@@ -198,24 +196,6 @@ def test_corrupt_comb_table_fails_the_import_check(monkeypatch):
             scalar_mul_base.cache_clear()
 
 
-def test_point_codec():
-    rng = random.Random(12)
-    for _ in range(20):
-        pt = scalar_mul_base(rng.randrange(1, L))
-        data = encode_point(pt)
-        assert len(data) == 64
-        assert decode_point(data) == pt
-    with pytest.raises(InvalidPoint):
-        decode_point(b"\x00" * 63)
-    with pytest.raises(InvalidPoint):
-        decode_point(encode_point(Point(1, 1)))  # off the curve
-    # (0, 1) with y + P still fits 32 bytes: a second encoding of the identity
-    with pytest.raises(InvalidPoint):
-        decode_point(encode_point(Point(0, 1 + P)))
-    with pytest.raises(InvalidPoint):
-        decode_point(encode_point(Point(P, 1)))
-
-
 def test_keygen_on_curve_and_deterministic():
     rng = random.Random(13)
     for _ in range(100):
@@ -306,14 +286,6 @@ def test_off_curve_points_raise():
         eddsa.verify_sig(kp.pk, 1, eddsa.Signature(Point(1, 1), sig.s))
 
 
-def test_signature_codec():
-    kp = eddsa.keygen(b"\x07" * 32)
-    sig = eddsa.sign(kp.sk, 31337)
-    data = eddsa.encode_signature(sig)
-    assert len(data) == 96
-    assert eddsa.decode_signature(data) == sig
-
-
 def test_non_canonical_s_rejected():
     # (R, s + L) satisfies s*G = R + c*pk as well; only s < L is a signature
     rng = random.Random(19)
@@ -325,32 +297,3 @@ def test_non_canonical_s_rejected():
         assert eddsa.verify_sig(kp.pk, msg, sig)
         assert not eddsa.verify_sig(kp.pk, msg, shifted)
         assert not eddsa.verify_sig(kp.pk, msg, eddsa.Signature(sig.r, sig.s - L))
-        with pytest.raises(OracleError):
-            eddsa.decode_signature(eddsa.encode_signature(shifted))
-
-
-def test_decoders_round_trip_or_raise_oracle_error():
-    rng = random.Random(20)
-    kp = eddsa.keygen(b"\x08" * 32)
-    vote = make_vote(kp.sk, 5, 77, rng.getrandbits(256))
-    cases = [(decode_point, encode_point, kp.pk),
-             (eddsa.decode_signature, eddsa.encode_signature, vote.signature),
-             (decode_vote, encode_vote, vote)]
-    outcomes = {"round-trip": 0, "rejected": 0}
-    for decode, encode, value in cases:
-        good = encode(value)
-        for trial in range(300):
-            if trial % 3 == 0:
-                data = rng.randbytes(len(good))
-            else:  # a valid record with one byte changed
-                data = bytearray(good)
-                data[rng.randrange(len(data))] = rng.randrange(256)
-                data = bytes(data)
-            try:
-                decoded = decode(data)
-            except OracleError:
-                outcomes["rejected"] += 1
-                continue
-            assert encode(decoded) == data
-            outcomes["round-trip"] += 1
-    assert outcomes["round-trip"] > 50 and outcomes["rejected"] > 300

@@ -8,18 +8,17 @@ import pytest
 from zkoracle import eddsa
 from zkoracle.contract import Contract, Params, apply_slash_transfer
 from zkoracle.curve import L
-from zkoracle.errors import CorruptLog, InvalidInput
+from zkoracle.errors import CorruptLog
 from zkoracle.field import P
-from zkoracle.nodes import (Mempool, OracleNode, check_finality, decode_vote,
-                            encode_vote, make_vote, vote_message)
+from zkoracle.nodes import Mempool, OracleNode, check_finality, make_vote, vote_message
 from zkoracle.simnet import MockChain, ScenarioConfig, run_scenario
 
 P4 = Params(depth=2)
 
 
-def make_node(i, params=P4, finality=6):
+def make_node(i, params=P4):
     kp = eddsa.keygen((i + 1).to_bytes(4, "big") * 8)
-    node = OracleNode(f"node-{i}", kp, params, finality=finality)
+    node = OracleNode(f"node-{i}", kp, params)
     node.index = i
     return node
 
@@ -38,29 +37,23 @@ def committee_with_contract(params=P4, count=None):
     return contract, nodes
 
 
-# -- vote wire format ------------------------------------------------------------
+# -- votes -------------------------------------------------------------------------
 
 
+# R.x, R.y and s of the vote below; signing is deterministic, so a change to
+# the nonce, the challenge or the vote message moves these
 VOTE_GOLDEN = (
-    "0000000000000003000000000000002a"
-    "00000000000000000000000000000000000000000000000000000000000001c8"
-    "14e02c2050e39c3ee75a100d3f6e21df9e7a63bc8b0299cc2be53a9933bc50f5"
-    "06d0a7c312d295ac8d2908b15120686b569f74d1be99856c3ed151813e9ce355"
-    "057901b1412837d25b7fd4e845ab72b184cfe15e997b76d2c0d1cb906967dd14"
+    9442335262251854785220757589885554231372881586790533263784166957594590335221,
+    3082539131785267145505258371749607774580683776722300196072547007295670510421,
+    2475364418273267028030016109752040260807928593768299353080212795094548864276,
 )
 
 
-def test_vote_wire_format_roundtrip():
+def test_vote_signature_golden():
     kp = eddsa.keygen(b"\x09" * 32)
     vote = make_vote(kp.sk, 3, 42, 456)
-    data = encode_vote(vote)
-    assert len(data) == 144
-    assert decode_vote(data) == vote
-    # fixed layout: index and request id up front, big-endian
-    assert data[:8] == (3).to_bytes(8, "big")
-    assert data[8:16] == (42).to_bytes(8, "big")
-    assert data[16:48] == (456).to_bytes(32, "big")
-    assert data.hex() == VOTE_GOLDEN
+    assert (vote.validator_index, vote.request_id, vote.block_hash) == (3, 42, 456)
+    assert (vote.signature.r.x, vote.signature.r.y, vote.signature.s) == VOTE_GOLDEN
 
 
 def test_vote_signature_covers_contents():
@@ -83,14 +76,16 @@ def test_finality_boundaries():
 
 
 def test_finality_orphaned_fork():
-    chain = MockChain(random.Random(2))
-    chain.advance(10)
-    doomed = chain.block_at(9)
-    # a fork from 8 overtakes; the old block 9 is no longer canonical
-    chain.advance(0, fork_spec=(8, 3))
-    assert chain.tip == 11
-    assert chain.block_at(9) != doomed
-    assert check_finality(chain, 9, 2)  # the new branch's block is final
+    # a block the chain view no longer returns, as when a reorg orphaned it,
+    # is not final however deep the tip is
+    class StubChain:
+        tip = 20
+
+        def block_at(self, number):
+            return None if number == 9 else object()
+
+    assert check_finality(StubChain(), 10, 6)
+    assert not check_finality(StubChain(), 9, 6)
 
 
 # -- validator behavior ----------------------------------------------------------------
@@ -208,9 +203,6 @@ def test_on_vote_rejects_block_hash_outside_field():
             relabelled = replace(vote, block_hash=bad)
             assert nodes[0].on_vote(relabelled) == (False, "block-hash-out-of-range")
         assert nodes[0].on_vote(vote) == (True, None)
-    with pytest.raises(InvalidInput):
-        decode_vote(encode_vote(replace(vote, block_hash=123 + P)))
-    assert decode_vote(encode_vote(replace(vote, block_hash=P - 1))).block_hash == P - 1
     assert nodes[0].try_submit(0).block_hash == 123
 
 

@@ -2,17 +2,18 @@
 
 import collections
 import dataclasses
+import json
 import random
 import re
 
 import pytest
 
 from zkoracle import circuits, eddsa
-from zkoracle.cli import bundled_scenarios
+from zkoracle.cli import bundled_scenarios, main
 from zkoracle.contract import dump_events
 from zkoracle.errors import ConfigError
-from zkoracle.simnet import (MessageBus, MockChain, ScenarioConfig, run_scenario,
-                             verify_run)
+from zkoracle.simnet import (T_AGG, MessageBus, MockChain, ScenarioConfig,
+                             run_scenario, verify_run)
 
 
 # -- mock chain --------------------------------------------------------------
@@ -34,27 +35,8 @@ def test_chain_advance_zero_is_noop():
     assert chain.block_at(chain.tip) == tip_block
 
 
-def test_fork_overtake_reorgs():
-    chain = MockChain(random.Random(3))
-    chain.advance(10)
-    old_tip = chain.block_at(10)
-    chain.advance(0, fork_spec=(9, 2))  # branch from 9, two blocks: 10', 11'
-    assert chain.tip == 11
-    assert chain.block_at(10) != old_tip
-    assert chain.block_at(9).hash == chain.block_at(10).parent
 
 
-def test_short_fork_stays_side_branch():
-    chain = MockChain(random.Random(4))
-    chain.advance(10)
-    canonical_9 = chain.block_at(9)
-    chain.advance(0, fork_spec=(8, 1))  # branch tip 9 < canonical tip 10
-    assert chain.tip == 10
-    assert chain.block_at(9) == canonical_9
-    # the side branch was kept: two more blocks on it (9', 10', 11') overtake
-    chain.advance(0, fork_spec=(8, 2))
-    assert chain.tip == 11
-    assert chain.block_at(9) != canonical_9
 
 
 # -- message bus --------------------------------------------------------------
@@ -100,6 +82,48 @@ def test_config_rejects_unknown_keys():
         ScenarioConfig.from_json('{"depth": 2, "bogus": 1}')
     with pytest.raises(ConfigError):  # round robin is the only rotation
         ScenarioConfig.from_json('{"depth": 2, "aggregator_mode": "round_robin"}')
+    # one request per round, finality, the aggregator timeout and the stake
+    # are constants of the simulation, so a config may not name them, even
+    # at their constant values
+    for key, value in (("requests_per_round", 1), ("finality", 6),
+                       ("t_agg", 60.0), ("stakes", None)):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json(json.dumps({"depth": 2, key: value}))
+
+
+def test_config_fields_are_the_settings_scenarios_vary():
+    assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
+        "name", "depth", "committee", "rounds", "adversaries", "drop_rate",
+        "max_delay", "seed", "expect_violation"]
+
+
+# a valid config, and single values of the wrong type or outside their range
+VALID_CONFIG = {"name": "x", "depth": 2, "committee": 4, "rounds": 2, "seed": 3,
+                "adversaries": {}, "drop_rate": 0.0, "max_delay": 0.05,
+                "expect_violation": False}
+ILL_TYPED = (
+    ("expect_violation", "no"), ("expect_violation", 0), ("rounds", 1.5),
+    ("rounds", True), ("committee", "4"), ("depth", False), ("seed", 11.0),
+    ("max_delay", float("nan")), ("drop_rate", float("inf")),
+    ("max_delay", "0.05"), ("drop_rate", True), ("name", 5), ("depth", 0),
+    ("depth", 17), ("depth", 40), ("adversaries", ["zero_vote"]),
+    ("adversaries", {"0_1": "zero_vote"}), ("adversaries", {" 1": "zero_vote"}),
+)
+
+
+def test_config_rejects_ill_typed_values(tmp_path):
+    ScenarioConfig.from_json(json.dumps(VALID_CONFIG))
+    path = tmp_path / "config.json"
+    for key, value in ILL_TYPED:
+        text = json.dumps(dict(VALID_CONFIG, **{key: value}))
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json(text)
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    # a literal too long to convert and nesting too deep to parse
+    for text in ('{"rounds": ' + "1" * 5000 + "}", '{"name": ' + "[" * 100000 + "}"):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json(text)
 
 
 def test_config_rejects_bad_values():
@@ -153,10 +177,10 @@ def test_offline_aggregator_liveness():
     m = run.metrics
     assert m.answered == 8
     assert m.liveness_stalls == 0
-    bound = config.committee * config.t_agg
+    bound = config.committee * T_AGG
     assert all(r.latency is not None and r.latency <= bound for r in m.rows)
     # rounds led by the offline node resolve only after its timeout
-    assert any(r.latency >= config.t_agg for r in m.rows)
+    assert any(r.latency >= T_AGG for r in m.rows)
     assert verify_run(run) == []
 
 
@@ -235,22 +259,8 @@ def test_different_seed_changes_outcome():
     assert a.contract.state_root != b.contract.state_root
 
 
-def test_multiple_requests_per_round():
-    run = run_scenario(ScenarioConfig(depth=2, committee=4, rounds=3, seed=34,
-                                      requests_per_round=2))
-    m = run.metrics
-    assert len(m.rows) == 6
-    assert m.answered == 6
-    assert [r.request_id for r in m.rows] == list(range(6))
-    # both requests of a round target the same block
-    assert m.rows[0].block_number == m.rows[1].block_number
-    assert verify_run(run) == []
 
 
-def test_configured_stakes_apply():
-    run = run_scenario(ScenarioConfig(depth=2, committee=4, rounds=0, seed=35,
-                                      stakes=[100, 250, 333, 404]))
-    assert run.metrics.final_balances == {0: 100, 1: 250, 2: 333, 3: 404}
 
 
 def test_verified_proofs_carry_no_secret_key(monkeypatch):
