@@ -25,11 +25,12 @@ votes, each with the signature its validator already sent over the wire.
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 from . import curve
 from .curve import A, D, L, Point
-from .eddsa import Signature
+from .eddsa import Signature, challenge_inputs
 from .errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
 from .field import P
 from .merkle import Account, MerkleProof, StateTree
@@ -49,6 +50,14 @@ COST_ON_CURVE = 5
 def threshold(depth: int) -> int:
     """Majority threshold over the tree capacity: floor(2^D / 2) + 1."""
     return (1 << depth) // 2 + 1
+
+
+def vote_message_inputs(validator_index: int, request_id: int, block_hash: int) -> list:
+    """The MiMC inputs of the message a vote signs; the signer and the
+    circuits both hash this list.  The request and the hash come first, so
+    every vote for one (request, hash) pair opens the chain with the same
+    two permutations, which the permutation cache holds after the first."""
+    return [request_id, block_hash, validator_index]
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,7 @@ def _updated_root(cs: ConstraintMeter, account: Account, new_balance: int,
 def _verify_sig(cs: ConstraintMeter, pk: Point, msg: int, sig: Signature, site: str) -> None:
     cs.on_curve(pk, f"{site}.pk-on-curve")
     cs.on_curve(sig.r, f"{site}.r-on-curve")
-    c = cs.mimc([sig.r.x, sig.r.y, pk.x, pk.y, msg]) % L
+    c = cs.mimc(challenge_inputs(sig.r, pk, msg)) % L
     lhs = cs.scalar_mul_base(sig.s % L)
     # R + c*pk stays projective; Z is 0 only if R or c*pk is off the curve,
     # which the on-curve assertions above have already failed
@@ -257,7 +266,8 @@ def check_aggregation(public: AggregationPublic,
     for i, v in enumerate(votes):
         site = f"vote[{i}]"
         vbits = _membership(cs, root, v.account, v.merkle_proof, depth, site)
-        msg = cs.mimc([v.account.index, public.request_id, v.claimed_block_hash])
+        msg = cs.mimc(vote_message_inputs(v.account.index, public.request_id,
+                                          v.claimed_block_hash))
         _verify_sig(cs, v.account.pubkey, msg, v.signature, site)
         cs.assert_eq(v.claimed_block_hash, public.block_hash, f"{site}.block-hash")
         # the decomposition above already constrains the index to D bits;
@@ -291,7 +301,8 @@ def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
 
     vbits = _membership(cs, public.pre_state_root, victim.account,
                         victim.merkle_proof, depth, "victim")
-    msg = cs.mimc([victim.account.index, public.request_id, victim.claimed_block_hash])
+    msg = cs.mimc(vote_message_inputs(victim.account.index, public.request_id,
+                                      victim.claimed_block_hash))
     _verify_sig(cs, victim.account.pubkey, msg, victim.signature, "victim")
 
     deducted = victim.account.balance
@@ -512,6 +523,25 @@ class TransparentBackend:
 
 
 _TRANSPARENT = TransparentBackend()
+
+
+@lru_cache(maxsize=None)
+def max_payload_size(circuit_id: str, depth: int) -> int:
+    """Bytes in the longest payload an honest prover emits at this depth:
+    the circuit's record layout with every index at 2^D - 1, every field
+    element at P - 1 and s at L - 1, the widest values the decoder accepts.
+    A longer payload is padded or malformed, so a verifier can refuse it
+    before parsing it."""
+    top = P - 1
+    widest = Point(top, top)
+    account = Account((1 << depth) - 1, widest, top)
+    proof = MerkleProof(top, (top,) * depth, (1,) * depth)
+    vote = VoteWitness(account, proof, Signature(widest, L - 1), top)
+    if circuit_id == AGGREGATION:
+        witness = AggregationWitness(account, proof, (vote,) * threshold(depth))
+    else:
+        witness = SlashWitness(account, proof, vote)
+    return len(_TRANSPARENT.prove(circuit_id, None, witness).payload)
 
 
 def _backend(backend_id: str, circuit_id: str) -> TransparentBackend:

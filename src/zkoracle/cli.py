@@ -175,6 +175,11 @@ def bundled_scenarios():
 
 
 def cmd_selftest(args) -> int:
+    for flag, value in (("--rounds", args.rounds),
+                        ("--conservation-runs", args.conservation_runs)):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
+            return 2
     failures = 0
 
     def report(name: str, problems) -> None:

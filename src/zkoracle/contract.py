@@ -224,6 +224,7 @@ class Contract:
         # the reducer repeats these checks; running them first spares a
         # submission they refuse the proof's re-execution
         self._check_submission(block_hash, validator_bits)
+        self._check_payload_size(AGGREGATION, proof)
 
         public = AggregationPublic(self.state_root, post_state_root, block_hash,
                                    request_id, validator_bits)
@@ -242,12 +243,22 @@ class Contract:
         if self.owner_of.get(request.agg_index) != caller:
             raise NotAggregator(f"{caller} is not the aggregator that answered "
                                 f"request {request_id}")
+        self._check_payload_size(SLASH, proof)
         public = SlashPublic(self.state_root, post_state_root, request.answer_hash,
                              request_id, request.agg_index, val_index)
         if not self.backend.verify(SLASH, public, proof):
             raise InvalidProof("slash proof rejected")
         self._emit(SLASHED, request_id=request_id, agg_index=request.agg_index,
                    val_index=val_index, post_state_root=post_state_root)
+
+    def _check_payload_size(self, circuit_id: str, proof: Proof) -> None:
+        """Refuse a payload longer than any honest one at this depth before
+        the backend parses it."""
+        bound = circuits.max_payload_size(circuit_id, self.params.depth)
+        if len(proof.payload) > bound:
+            raise InvalidProof(f"{circuit_id} payload of {len(proof.payload)} bytes "
+                               f"exceeds the {bound}-byte bound at depth "
+                               f"{self.params.depth}")
 
     def timeout_aggregator(self) -> int:
         """Rotate past an unresponsive aggregator; driven by the network layer."""

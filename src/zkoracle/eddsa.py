@@ -1,10 +1,20 @@
-"""Schnorr-style signatures over the embedded curve, hashed with MiMC.
+"""Schnorr-style signatures over the embedded curve.
 
-Using MiMC for both the nonce and the challenge keeps the whole verification
-equation native to the arithmetic circuits; nonces are derived from (sk, msg)
-so signing carries no RNG state.
+The challenge is a MiMC hash, which keeps the whole verification equation
+native to the arithmetic circuits.  The nonce is never checked by a circuit,
+so it is derived as RFC 8032 section 5.1.6 derives it: SHA-512 over the
+secret key and the message.  Signing is deterministic, carries no RNG state
+and spends no MiMC permutation on the nonce.
+
+The challenge hashes the signer's key first and R and the message after it.
+MiMC's Miyaguchi-Preneel chain then opens with the same two permutations for
+every signature under one key, which the permutation cache already holds; the
+same trick as BIP-340's tagged hashes, which precompute the state after a
+fixed prefix.  The order is a fixed injective encoding either way, so the
+Schnorr security argument does not change.
 """
 
+import hashlib
 from typing import NamedTuple
 
 from . import curve
@@ -12,6 +22,8 @@ from .curve import L, Point
 from .errors import InvalidKey, InvalidPoint
 from .field import P
 from .mimc import mimc_hash
+
+NONCE_TAG = b"zkoracle.eddsa.nonce"
 
 
 class KeyPair(NamedTuple):
@@ -30,18 +42,29 @@ def keygen(seed: bytes) -> KeyPair:
     return KeyPair(sk, curve.scalar_mul_base(sk))
 
 
+def challenge_inputs(r: Point, pk: Point, msg: int) -> list:
+    """The challenge's MiMC inputs, the fixed key ahead of R and msg; the
+    signer, verify_sig and the circuits all hash this list."""
+    return [pk.x, pk.y, r.x, r.y, msg]
+
+
 def challenge(r: Point, pk: Point, msg: int) -> int:
-    return mimc_hash([r.x, r.y, pk.x, pk.y, msg]) % L
+    return mimc_hash(challenge_inputs(r, pk, msg)) % L
+
+
+def nonce(sk: int, msg: int) -> int:
+    """SHA-512(NONCE_TAG || sk || msg) mapped into [1, L), with sk and msg as
+    32-byte big-endian integers.  msg is read mod P, as the challenge reads
+    it, so msg and msg + P get one nonce."""
+    digest = hashlib.sha512(NONCE_TAG + sk.to_bytes(32, "big")
+                            + (msg % P).to_bytes(32, "big")).digest()
+    return int.from_bytes(digest, "big") % (L - 1) + 1
 
 
 def sign(sk: int, msg: int) -> Signature:
     if not 1 <= sk < L:
         raise InvalidKey("secret key out of range")
-    h = mimc_hash([sk, msg])
-    k = h % L
-    while k == 0:
-        h = mimc_hash([h])
-        k = h % L
+    k = nonce(sk, msg)
     pk = curve.scalar_mul_base(sk)
     r = curve.scalar_mul_base(k)
     s = (k + challenge(r, pk, msg) * sk) % L

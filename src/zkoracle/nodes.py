@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import circuits, eddsa
-from .circuits import AGGREGATION, SLASH, Proof, check_aggregation, check_slash
+from .circuits import (AGGREGATION, SLASH, Proof, check_aggregation, check_slash,
+                       vote_message_inputs)
 from .contract import Params, apply_event_to_tree, apply_slash_transfer
 from .errors import CorruptLog, OracleError
 from .eddsa import Signature
@@ -31,7 +32,7 @@ class Vote:
 
 
 def vote_message(validator_index: int, request_id: int, block_hash: int) -> int:
-    return mimc_hash([validator_index, request_id, block_hash])
+    return mimc_hash(vote_message_inputs(validator_index, request_id, block_hash))
 
 
 def make_vote(sk: int, validator_index: int, request_id: int, block_hash: int) -> Vote:

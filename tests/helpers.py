@@ -161,7 +161,7 @@ def ref_verify_sig(cs, pk, msg, sig, site):
     """s*G = R + c*pk with R + c*pk as an affine point."""
     cs.on_curve(pk, f"{site}.pk-on-curve")
     cs.on_curve(sig.r, f"{site}.r-on-curve")
-    c = cs.mimc([sig.r.x, sig.r.y, pk.x, pk.y, msg]) % L
+    c = cs.mimc([pk.x, pk.y, sig.r.x, sig.r.y, msg]) % L
     lhs = cs.scalar_mul_base(sig.s % L)
     cs.count += COST_POINT_ADD
     rhs = ref_add(sig.r, cs.scalar_mul(c, pk))

@@ -11,8 +11,9 @@ from dataclasses import replace
 
 from helpers import random_occupied_tree
 from zkoracle import eddsa
-from zkoracle.circuits import (build_aggregation_witness, build_slash_witness,
-                               check_aggregation, check_slash, threshold)
+from zkoracle.circuits import (AGGREGATION, SLASH, build_aggregation_witness,
+                               build_slash_witness, check_aggregation, check_slash,
+                               max_payload_size, threshold)
 from zkoracle.cli import bundled_scenarios, scaling_row
 from zkoracle.contract import Contract, Params, dump_log, parse_log, replay
 from zkoracle.errors import ExitTimeNotReached, StakeTooLow
@@ -168,10 +169,31 @@ def test_criterion_5_liveness_suite():
 # -- 6. scaling trend -----------------------------------------------------------------
 
 
+# (aggregation, slash) constraints per committee size, as `zkoracle scaling`
+# prints them; only a change to a circuit or its cost model moves these
+SCALING_CONSTRAINTS = {
+    4: (45202, 17984),
+    8: (78988, 20170),
+    16: (148770, 22356),
+    32: (294988, 24542),
+    64: (603110, 26728),
+    128: (1253680, 28914),
+    256: (2628730, 31100),
+}
+
+
 def test_criterion_6_scaling_trend():
     start = time.monotonic()
     sizes = (4, 8, 16, 32, 64, 128, 256)
     rows = {size: scaling_row(size) for size in sizes}
+    counts = {size: (rows[size]["aggregation_constraints"],
+                     rows[size]["slash_constraints"]) for size in sizes}
+    assert counts == SCALING_CONSTRAINTS
+    # every honest payload fits the size bound the contract enforces
+    for size, row in rows.items():
+        assert row["aggregation_witness_bytes"] <= \
+            max_payload_size(AGGREGATION, row["depth"])
+        assert row["slash_witness_bytes"] <= max_payload_size(SLASH, row["depth"])
 
     ratios = []
     for small, big in ((32, 64), (64, 128), (128, 256)):

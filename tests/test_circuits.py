@@ -581,7 +581,7 @@ def test_serialized_instances_golden():
     _, keys, votes, public, witness = honest_instance()
     proof = prove("transparent", AGGREGATION, public, witness)
     assert hashlib.sha256(proof.payload).hexdigest() == \
-        "0adfe3a15893efa34bd52a6daf5441f209796170cf6c5308fbbfc27850861c62"
+        "2b2b0f75419f13b4a694218566f5c72f4f653136ff146cca5c848a0d8195db72"
     assert public.pre_state_root == \
         1245594603875225791434294640521501230096359233096937346900404774255669017008
     assert public.post_state_root == \
@@ -592,7 +592,7 @@ def test_serialized_instances_golden():
     s_public, s_witness = build_slash_witness(tree, 0, dissent, 5, 777)
     s_proof = prove("transparent", SLASH, s_public, s_witness)
     assert hashlib.sha256(s_proof.payload).hexdigest() == \
-        "ce385b61c9987195f16364b742b81e70133378e9d46b061105f5b157601cfe7b"
+        "36f39f1c730ac78dd1da29bb298c6d8f14426b55a24143dc74ef83aa33b43804"
 
 
 def test_slash_proof_roundtrip():

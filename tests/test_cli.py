@@ -149,3 +149,18 @@ def test_selftest_quick(capsys):
     assert code == 0
     assert "PASS circuit brute force" in printed
     assert "FAIL" not in printed
+
+
+def test_selftest_rejects_negative_counts_before_any_work(capsys, monkeypatch):
+    import zkoracle.cli as cli
+
+    def no_work():
+        raise AssertionError("selftest started work on a bad option")
+
+    monkeypatch.setattr(cli, "aggregation_brute_force", no_work)
+    for argv, flag in ((["--rounds", "-1", "--conservation-runs", "0"], "--rounds"),
+                       (["--conservation-runs", "-1"], "--conservation-runs")):
+        assert main(["selftest", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} must be >= 0" in captured.err

@@ -587,6 +587,57 @@ def test_hostile_proof_payloads_raise_invalid_proof():
     assert contract.account(3).balance == 0
 
 
+def test_oversize_payloads_refused_before_verification(monkeypatch):
+    """Trailing spaces keep a payload's JSON, so 5 MB of them verify True in
+    the backend; the contract refuses any payload longer than an honest one
+    at its depth before the backend parses it."""
+    contract = Contract(P4)
+    keys = fresh_keys(4)
+    register_all(contract, keys)
+    contract.request_block("client", 10, contract.params.request_fee)
+    votes = honest_votes(keys, range(3), 0, 777)
+    public, witness = build_aggregation_witness(
+        contract.tree_snapshot(), 0, votes, 0, 777)
+    proof = prove("transparent", AGGREGATION, public, witness)
+    padded = replace(proof, payload=proof.payload + b" " * 5_000_000)
+    assert circuits.verify("transparent", AGGREGATION, public, padded)
+
+    def pad_to(p, size):
+        return replace(p, payload=p.payload + b" " * (size - len(p.payload)))
+
+    calls = []
+    real = contract.backend.verify
+    monkeypatch.setattr(contract.backend, "verify",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    bound = circuits.max_payload_size(AGGREGATION, 2)
+    log = dump_log(contract)
+    for oversize in (padded, pad_to(proof, bound + 1)):
+        with pytest.raises(InvalidProof):
+            contract.submit_block("owner-0", 0, 777, public.validator_bits,
+                                  public.post_state_root, oversize)
+        assert dump_log(contract) == log
+    assert calls == []
+    contract.submit_block("owner-0", 0, 777, public.validator_bits,
+                          public.post_state_root, pad_to(proof, bound))
+    assert calls == [AGGREGATION]
+
+    contract, _, _, s_public, s_proof = slashable_setup()
+    calls = []
+    real = contract.backend.verify
+    monkeypatch.setattr(contract.backend, "verify",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    bound = circuits.max_payload_size(circuits.SLASH, 2)
+    log = dump_log(contract)
+    for oversize in (pad_to(s_proof, len(s_proof.payload) + 5_000_000),
+                     pad_to(s_proof, bound + 1)):
+        with pytest.raises(InvalidProof):
+            contract.slash("owner-0", 0, 3, s_public.post_state_root, oversize)
+        assert dump_log(contract) == log
+    assert calls == []
+    contract.slash("owner-0", 0, 3, s_public.post_state_root, pad_to(s_proof, bound))
+    assert calls == [circuits.SLASH]
+
+
 # -- replay and event log --------------------------------------------------------------------
 
 

@@ -227,6 +227,33 @@ def test_sign_deterministic():
     assert eddsa.sign(kp.sk, 12345) == eddsa.sign(kp.sk, 12345)
 
 
+def test_nonce_deterministic_in_range_and_bound_to_key_and_message():
+    rng = random.Random(16)
+    sks = [eddsa.keygen(rng.getrandbits(256).to_bytes(32, "big")).sk for _ in range(20)]
+    msgs = [rng.randrange(P) for _ in range(20)] + [0, 1, P - 1]
+    nonces = set()
+    for sk in sks:
+        for msg in msgs:
+            k = eddsa.nonce(sk, msg)
+            assert 1 <= k < L
+            assert eddsa.nonce(sk, msg) == k
+            nonces.add(k)
+    assert len(nonces) == len(sks) * len(msgs)
+    # the challenge reads msg mod P, and so does the nonce
+    assert eddsa.nonce(sks[0], msgs[0] + P) == eddsa.nonce(sks[0], msgs[0])
+    # sign commits to exactly this nonce
+    assert eddsa.sign(sks[0], msgs[0]).r == curve.scalar_mul_base(eddsa.nonce(sks[0], msgs[0]))
+
+
+def test_sign_hashes_only_the_challenge_with_mimc(monkeypatch):
+    kp = eddsa.keygen(b"\x08" * 32)
+    hashed = []
+    real = eddsa.mimc_hash
+    monkeypatch.setattr(eddsa, "mimc_hash", lambda xs: hashed.append(list(xs)) or real(xs))
+    sig = eddsa.sign(kp.sk, 4242)
+    assert hashed == [[kp.pk.x, kp.pk.y, sig.r.x, sig.r.y, 4242]]
+
+
 def test_perturbed_message_fails():
     kp = eddsa.keygen(b"\x02" * 32)
     sig = eddsa.sign(kp.sk, 777)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from zkoracle import eddsa
+from zkoracle import eddsa, mimc
 from zkoracle.contract import Contract, Params, apply_slash_transfer
 from zkoracle.curve import L
 from zkoracle.errors import CorruptLog
@@ -43,9 +43,9 @@ def committee_with_contract(params=P4, count=None):
 # R.x, R.y and s of the vote below; signing is deterministic, so a change to
 # the nonce, the challenge or the vote message moves these
 VOTE_GOLDEN = (
-    9442335262251854785220757589885554231372881586790533263784166957594590335221,
-    3082539131785267145505258371749607774580683776722300196072547007295670510421,
-    2475364418273267028030016109752040260807928593768299353080212795094548864276,
+    439314758284198150894940282572630855433251897061659354414440764826579155317,
+    20284047391659955091352521943502573207139074863061528391239256964471998002470,
+    359000684589265761927631315415501257720611953963206801276315494245055551603,
 )
 
 
@@ -62,6 +62,21 @@ def test_vote_signature_covers_contents():
     msg = vote_message(1, 2, 3)
     assert eddsa.verify_sig(kp.pk, msg, vote.signature)
     assert not eddsa.verify_sig(kp.pk, vote_message(1, 2, 4), vote.signature)
+
+
+def test_warm_vote_makes_four_permute_misses():
+    """With B's key prefix warm and A's vote for (request, hash) signed, B's
+    vote for that pair misses the permutation cache 4 times: once for its
+    index in the message, three times for R.x, R.y and msg in the challenge.
+    The nonce takes none."""
+    a = eddsa.keygen(b"\x0d" * 32)
+    b = eddsa.keygen(b"\x0e" * 32)
+    make_vote(b.sk, 1, 919_191, 1)  # B's key prefix
+    make_vote(a.sk, 0, 424_243, 8_675_309)  # the (request, hash) prefix
+    before = mimc.permute.cache_info().misses
+    vote = make_vote(b.sk, 1, 424_243, 8_675_309)
+    assert mimc.permute.cache_info().misses - before == 4
+    assert eddsa.verify_sig(b.pk, vote_message(1, 424_243, 8_675_309), vote.signature)
 
 
 # -- finality -----------------------------------------------------------------------
