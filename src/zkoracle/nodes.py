@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import circuits, eddsa
-from .circuits import (AGGREGATION, SLASH, Proof, check_aggregation, check_slash,
-                       vote_message_inputs)
+from .circuits import AGGREGATION, SLASH, Proof, vote_message_inputs
 from .contract import Params, apply_event_to_tree, apply_slash_transfer
 from .errors import CorruptLog, OracleError
 from .eddsa import Signature
@@ -38,6 +37,15 @@ def vote_message(validator_index: int, request_id: int, block_hash: int) -> int:
 def make_vote(sk: int, validator_index: int, request_id: int, block_hash: int) -> Vote:
     msg = vote_message(validator_index, request_id, block_hash)
     return Vote(validator_index, request_id, block_hash, eddsa.sign(sk, msg))
+
+
+def signed_by(pubkey, vote: Vote) -> bool:
+    """Whether pubkey signed the vote; a malformed signature is False."""
+    msg = vote_message(vote.validator_index, vote.request_id, vote.block_hash)
+    try:
+        return eddsa.verify_sig(pubkey, msg, vote.signature)
+    except OracleError:
+        return False
 
 
 def check_finality(chain, block_number: int, threshold: int) -> bool:
@@ -88,7 +96,6 @@ class Submission:
     validator_bits: int
     post_state_root: int
     proof: Proof
-    constraint_count: int
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,6 @@ class SlashAction:
     val_index: int
     post_state_root: int
     proof: Proof
-    constraint_count: int
 
 
 class OracleNode:
@@ -150,12 +156,7 @@ class OracleNode:
             return False, "unregistered-validator"
         if self.mempool.has(vote.request_id, vote.validator_index):
             return False, "duplicate-vote"
-        msg = vote_message(vote.validator_index, vote.request_id, vote.block_hash)
-        try:
-            valid = eddsa.verify_sig(account.pubkey, msg, vote.signature)
-        except OracleError:
-            valid = False
-        if not valid:
+        if not signed_by(account.pubkey, vote):
             return False, "invalid-signature"
         self.mempool.add(vote)
         return True, None
@@ -175,10 +176,9 @@ class OracleNode:
         votes = self.mempool.votes_for(request_id, winner)[:t]
         public, witness = circuits.build_aggregation_witness(
             self.local_tree, self.index, votes, request_id, winner)
-        report = check_aggregation(public, witness)
         proof = self.backend.prove(AGGREGATION, public, witness)
         return Submission(request_id, winner, public.validator_bits,
-                          public.post_state_root, proof, report.constraint_count)
+                          public.post_state_root, proof)
 
     def build_slashes(self, request_id: int, answer_hash: int):
         """Chain slash transactions for every provably dissenting vote,
@@ -188,20 +188,12 @@ class OracleNode:
         for vote in self.mempool.votes(request_id):
             if vote.block_hash == answer_hash or vote.validator_index == self.index:
                 continue
-            account = work.account(vote.validator_index)
-            msg = vote_message(vote.validator_index, request_id, vote.block_hash)
-            try:
-                valid = eddsa.verify_sig(account.pubkey, msg, vote.signature)
-            except OracleError:
-                valid = False
-            if not valid:
+            if not signed_by(work.account(vote.validator_index).pubkey, vote):
                 continue  # an unauthenticated vote cannot be proven in-circuit
             public, witness = circuits.build_slash_witness(
                 work, self.index, vote, request_id, answer_hash)
-            report = check_slash(public, witness)
             proof = self.backend.prove(SLASH, public, witness)
             actions.append(SlashAction(request_id, vote.validator_index,
-                                       public.post_state_root, proof,
-                                       report.constraint_count))
+                                       public.post_state_root, proof))
             apply_slash_transfer(work, self.index, vote.validator_index)
         return actions

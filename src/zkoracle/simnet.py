@@ -1,13 +1,13 @@
-"""Deterministic discrete-event harness for whole-protocol scenarios.
+"""Deterministic harness for whole-protocol scenarios.
 
-A single logical clock drives everything: one seeded RNG feeds the mock
-source chain and the message bus, the event queue breaks time ties by
-insertion order, and node handlers run sequentially at their scheduled
-times.  The same (config, seed) therefore always produces byte-identical
-metrics and event logs.
+A single logical clock drives everything, and one seeded RNG feeds the mock
+source chain and the message bus.  A request is a loop over aggregator
+attempts that never overlap: each attempt's votes go to that attempt's
+aggregator, which hears them in arrival order, ties in send order, until it
+submits or its deadline passes.  The same (config, seed) therefore always
+produces byte-identical metrics and event logs.
 """
 
-import heapq
 import json
 import math
 import random
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import eddsa
+from .circuits import AGGREGATION, SLASH, constraint_count
 from .contract import MAX_LOG_DEPTH, MIN_STAKE, Contract, Params, conservation_trace
 from .errors import ConfigError
 from .field import P
@@ -182,13 +183,14 @@ class RoundRecord:
     round: int
     request_id: int
     block_number: int
-    answered: bool
-    correct: bool
-    latency: Optional[float]
-    votes_received: int
-    slashes: int
-    aggregation_constraints: int
-    slash_constraints: int
+    # the defaults describe a request that no aggregator answered
+    answered: bool = False
+    correct: bool = False
+    latency: Optional[float] = None
+    votes_received: int = 0
+    slashes: int = 0
+    aggregation_constraints: int = 0
+    slash_constraints: int = 0
 
 
 CSV_HEADER = ("round,request_id,block_number,answered,correct,latency,"
@@ -299,120 +301,82 @@ def run_scenario(config: ScenarioConfig) -> ScenarioRun:
 
 
 def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
+    """One request, as a loop over aggregator attempts of T_AGG each.
+
+    Attempt k starts at clock + k * T_AGG, when every node sends its planned
+    votes to the current aggregator.  The aggregator hears them in arrival
+    order (send order on ties) up to the attempt's deadline, and tries to
+    submit after each one.  Once it has submitted it also hears the later
+    arrivals, so that late dissents reach its slashes.  An attempt without a
+    submission ends in a timeout, and the next attempt solicits the successor.
+    """
     contract.set_time(clock)
     block_number = chain.tip - FINALITY
     expected = chain.block_at(block_number).hash
     request_id = contract.request_block("client-0", block_number,
                                         contract.params.request_fee)
-    issue_time = clock
-
-    plans = {}
+    plans = []
     for node in nodes:
         node.sync(contract.events)
         answer = node.answer(block_number, chain)
-        plans[node.index] = _behavior_plan(behavior[node.index], node, answer,
-                                           request_id, round_index)
-
-    heap = []
-    counter = 0
+        plans.append(_behavior_plan(behavior[node.index], node, answer,
+                                    request_id, round_index))
     node_at_ip = {contract.ip_of[n.index]: n for n in nodes}
 
-    def solicit(agg_index: int, at: float):
-        # validators resolve the destination through the registered IP
-        nonlocal counter
-        target = node_at_ip[contract.ip_of[agg_index]]
-        for node in nodes:
-            for vote in plans[node.index]:
-                when = bus.deliver(node.index, target.index, at)
-                if when is not None:
-                    heapq.heappush(heap, (when, counter, "vote",
-                                          (target.index, vote)))
-                    counter += 1
-
-    attempts = 0
-    max_attempts = len(contract.occupied_indices())
-    solicit(contract.get_aggregator(), clock)
-    heapq.heappush(heap, (issue_time + T_AGG, counter, "timeout", None))
-    counter += 1
-
-    answered = False
-    answer_time = None
-    answer_agg = None
-    settle_time = clock
-    votes_received = 0
-    slashes = 0
-    agg_constraints = 0
-    slash_constraints = 0
-
-    while heap:
-        at, _, kind, data = heapq.heappop(heap)
-        if kind == "vote":
-            agg_index, vote = data
-            if answered:
-                # the round's aggregator keeps listening so late dissents
-                # still land in its mempool before it issues the slashes
-                if agg_index == answer_agg:
-                    nodes[agg_index].on_vote(vote)
-                    settle_time = max(settle_time, at)
-                continue
-            if agg_index != contract.get_aggregator():
-                continue  # stale delivery to a rotated-out aggregator
-            node = nodes[agg_index]
-            if behavior[agg_index] == OFFLINE_AGGREGATOR:
-                continue  # ignores its aggregation duty; timeout will fire
-            node.sync(contract.events)
-            node.on_vote(vote)
-            submission = node.try_submit(request_id)
-            if submission is None:
-                continue
-            contract.set_time(at)
-            contract.submit_block(node.name, request_id, submission.block_hash,
-                                  submission.validator_bits,
-                                  submission.post_state_root, submission.proof)
-            answered = True
-            answer_time = at
-            answer_agg = agg_index
-            settle_time = at
-            agg_constraints = submission.constraint_count
-        elif not answered:  # timeout on a still-pending request
-            contract.set_time(at)
-            contract.timeout_aggregator()
-            attempts += 1
-            if attempts >= max_attempts:
+    submission = None
+    for attempt in range(len(contract.occupied_indices())):
+        sent = clock + attempt * T_AGG
+        # not sent + T_AGG, which can round one ulp apart in the logged times
+        deadline = clock + (attempt + 1) * T_AGG
+        # validators resolve the aggregator through its registered IP
+        aggregator = node_at_ip[contract.ip_of[contract.get_aggregator()]]
+        arrivals = []
+        for node, plan in zip(nodes, plans):
+            for vote in plan:
+                at = bus.deliver(node.index, aggregator.index, sent)
+                if at is not None:
+                    arrivals.append((at, len(arrivals), vote))
+        if behavior[aggregator.index] == OFFLINE_AGGREGATOR:
+            arrivals = []  # it ignores its aggregation duty
+        aggregator.sync(contract.events)
+        for at, _, vote in sorted(arrivals):
+            if submission is None and at > deadline:
                 break
-            solicit(contract.get_aggregator(), at)
-            heapq.heappush(heap, (issue_time + (attempts + 1) * T_AGG,
-                                  counter, "timeout", None))
-            counter += 1
-
-    if answered:
-        node = nodes[answer_agg]
-        votes_received = node.mempool.count(request_id)
-        contract.set_time(settle_time)
-        node.sync(contract.events)
-        answer_hash = contract.requests[request_id].answer_hash
-        for action in node.build_slashes(request_id, answer_hash):
-            contract.slash(node.name, action.request_id, action.val_index,
-                           action.post_state_root, action.proof)
-            slashes += 1
-            slash_constraints += action.constraint_count
-        clock = settle_time
+            aggregator.on_vote(vote)
+            settle_time = at
+            if submission is None:
+                submission = aggregator.try_submit(request_id)
+                if submission is not None:
+                    answer_time = at
+                    contract.set_time(at)
+                    contract.submit_block(aggregator.name, request_id,
+                                          submission.block_hash,
+                                          submission.validator_bits,
+                                          submission.post_state_root,
+                                          submission.proof)
+        if submission is not None:
+            break
+        contract.set_time(deadline)
+        contract.timeout_aggregator()
     else:
-        clock = max(clock, issue_time + attempts * T_AGG)
+        return RoundRecord(round_index, request_id, block_number), deadline
 
+    votes_received = aggregator.mempool.count(request_id)
+    contract.set_time(settle_time)
+    aggregator.sync(contract.events)
+    answer_hash = contract.requests[request_id].answer_hash
+    actions = aggregator.build_slashes(request_id, answer_hash)
+    for action in actions:
+        contract.slash(aggregator.name, action.request_id, action.val_index,
+                       action.post_state_root, action.proof)
+    depth = contract.params.depth
     record = RoundRecord(
-        round=round_index,
-        request_id=request_id,
-        block_number=block_number,
-        answered=answered,
-        correct=answered and contract.requests[request_id].answer_hash == expected,
-        latency=(answer_time - issue_time) if answered else None,
-        votes_received=votes_received,
-        slashes=slashes,
-        aggregation_constraints=agg_constraints,
-        slash_constraints=slash_constraints,
-    )
-    return record, clock
+        round_index, request_id, block_number, answered=True,
+        correct=answer_hash == expected, latency=answer_time - clock,
+        votes_received=votes_received, slashes=len(actions),
+        aggregation_constraints=constraint_count(AGGREGATION, depth),
+        slash_constraints=len(actions) * constraint_count(SLASH, depth))
+    return record, settle_time
 
 
 # -- post-run verification (used by the CLI and the test suite) -----------------

@@ -40,10 +40,12 @@ def hostile_payloads(payload):
     AttributeError, IndexError or OverflowError.  The rest are ones a lax
     decoder reads as the honest witness: a value of another JSON type, a
     field element plus P, a signature scalar plus L, directions that are not
-    the index bits.  They edit the aggregator's account and proof, which both
-    circuits carry, and the first signature."""
+    the index bits, a record with a key the encoder never writes.  They edit
+    the aggregator's account and proof, which both circuits carry, and the
+    first vote and its signature."""
     mutants = [b"[" * 200000, b"[]", b"null", b"1", b'"aggregator"']
     original = json.loads(payload)
+    mutants.append(json.dumps(dict(original, extra="1")).encode())
     assert original["aggregator"]["index"] in (0, 1)  # so that bool() keeps it
     first_sig = ("votes", 0, "signature") if "votes" in original else ("victim", "signature")
 
@@ -64,7 +66,11 @@ def hostile_payloads(payload):
             (("aggregator_proof", "path", 0), plus_p),
             (first_sig + ("r", 0), plus_p),
             (first_sig + ("s",), plus_l),
-            (("aggregator_proof", "directions"), lambda _: [7] * 1000)]:
+            (("aggregator_proof", "directions"), lambda _: [7] * 1000),
+            # a lax decoder ignores keys it does not know
+            (first_sig[:-1], lambda record: dict(record, extra="1")),
+            (first_sig, lambda signature: dict(signature, extra="1")),
+            (("aggregator_proof",), lambda proof: dict(proof, extra="1"))]:
         obj = json.loads(payload)
         record = obj
         for step in path[:-1]:

@@ -374,6 +374,22 @@ def test_constraint_count_deterministic_and_value_independent():
     assert failing.constraint_count == reports[0].constraint_count
 
 
+def test_constraint_count_is_the_count_of_every_witness():
+    # read once from the widest witness, which satisfies nothing
+    assert circuits.constraint_count(AGGREGATION, 2) == AGGREGATION_COUNT_D2
+    assert circuits.constraint_count(SLASH, 2) == SLASH_COUNT_D2
+    for depth in (2, 3):
+        tree, keys, _, public, witness = honest_instance(depth=depth)
+        report = check_aggregation(public, witness)
+        assert report.ok
+        assert circuits.constraint_count(AGGREGATION, depth) == report.constraint_count
+        s_public, s_witness = build_slash_witness(
+            tree, 0, make_vote(keys[1].sk, 1, 5, 778), 5, 777)
+        s_report = check_slash(s_public, s_witness)
+        assert s_report.ok
+        assert circuits.constraint_count(SLASH, depth) == s_report.constraint_count
+
+
 def test_slash_count_depends_only_on_depth():
     counts = {}
     for depth in (2, 3, 4):

@@ -2,15 +2,18 @@
 
 import collections
 import dataclasses
+import hashlib
 import json
 import random
 import re
+import sys
 
 import pytest
 
 from zkoracle import circuits, eddsa
 from zkoracle.cli import bundled_scenarios, main
-from zkoracle.contract import dump_events
+from zkoracle.contract import dump_events, dump_log
+from zkoracle.merkle import dump_snapshot
 from zkoracle.errors import ConfigError
 from zkoracle.simnet import (T_AGG, MessageBus, MockChain, ScenarioConfig,
                              run_scenario, verify_run)
@@ -279,3 +282,71 @@ def test_verified_proofs_carry_no_secret_key(monkeypatch):
     secrets = {str(node.keypair.sk).encode() for node in run.nodes}
     for _, payload in payloads:
         assert not secrets & set(re.findall(rb"\d+", payload))
+
+
+# sha256 of metrics.csv + events.log + tree.snapshot for configs whose votes
+# can miss a deadline (max_delay > T_AGG), meet an offline aggregator, drop,
+# or find no majority at all (a committee of one); every bundled scenario
+# delivers within 0.05 s, so its golden bytes exercise none of these paths
+LATE_VOTE_DIGESTS = (
+    (dict(depth=2, committee=4, rounds=6, seed=41, max_delay=90.0,
+          adversaries={3: "wrong_hash"}),
+     "d1e39962d9171315cf7fbe38c3567bb1ae5765a82016417efe3eb514cd7c8729"),
+    (dict(depth=3, committee=8, rounds=5, seed=42, max_delay=200.0, drop_rate=0.3,
+          adversaries={0: "offline_aggregator", 5: "equivocate"}),
+     "1afed80c6aa4141fa57dc320e4bf76cf5904854969be12d76ecd901785abea7a"),
+    (dict(depth=1, committee=1, rounds=3, seed=43, max_delay=90.0),
+     "d04d9044327f16230c799c27e521aa52855415bdfc71d5f5a0c3b0ee8b2d95bd"),
+    (dict(depth=2, committee=4, rounds=6, seed=44, max_delay=200.0, drop_rate=0.4,
+          adversaries={1: "offline_aggregator", 2: "zero_vote"}),
+     "3e9f12ba877d73c5032ba30b73d8c0bd1dcff75cdead1385662a2d865707f3db"),
+)
+
+
+def test_late_votes_timeouts_and_drops_keep_their_bytes():
+    runs = [run_scenario(ScenarioConfig(**settings)) for settings, _ in LATE_VOTE_DIGESTS]
+    for run, (settings, expected) in zip(runs, LATE_VOTE_DIGESTS):
+        text = (run.metrics.to_csv() + dump_log(run.contract)
+                + dump_snapshot(run.contract.tree_snapshot()))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, settings
+        assert verify_run(run) == []
+    # the first config answers after timeouts and stalls once, and its
+    # dissenter is slashed in every answered round
+    rows = runs[0].metrics.rows
+    assert any(r.latency > T_AGG for r in rows if r.answered)
+    assert any(not r.answered for r in rows)
+    assert all(r.slashes == 1 for r in rows if r.answered)
+
+
+def test_each_circuit_runs_once_per_contract_verification(monkeypatch):
+    # the prover does not re-run its own circuit; only verification does
+    config = dataclasses.replace(bundled_scenarios()["safety_wrong_hash_n4"], rounds=3)
+    for circuit in ("aggregation", "slash"):  # a process reads each count once
+        circuits.constraint_count(circuit, config.depth)
+    runs = collections.Counter()
+    for name in ("check_aggregation", "check_slash"):
+        original = getattr(circuits, name)
+
+        def counting(public, witness, name=name, original=original):
+            runs[name] += 1
+            return original(public, witness)
+
+        # every zkoracle module that binds the function, under any name
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "zkoracle":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    verified = collections.Counter()
+    verify = circuits.TransparentBackend.verify
+
+    def recording(backend, circuit_id, public, proof):
+        verified[circuit_id] += 1
+        return verify(backend, circuit_id, public, proof)
+
+    monkeypatch.setattr(circuits.TransparentBackend, "verify", recording)
+    run_scenario(config)
+    assert verified["aggregation"] > 0 and verified["slash"] > 0
+    assert runs == {"check_aggregation": verified["aggregation"],
+                    "check_slash": verified["slash"]}
