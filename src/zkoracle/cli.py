@@ -12,7 +12,7 @@ from pathlib import Path
 from . import circuits, eddsa
 from .circuits import AGGREGATION, SLASH, check_aggregation, check_slash
 from .contract import Params, conservation_trace, dump_log, parse_log, replay
-from .errors import ConfigError, CorruptLog, InvalidProof, OracleError
+from .errors import ConfigError, CorruptLog, OracleError
 from .merkle import Account, StateTree, dump_snapshot, load_snapshot
 from .nodes import make_vote
 from .selfcheck import aggregation_brute_force, conservation_suite
@@ -31,7 +31,7 @@ def _write_atomic(path: Path, text: str) -> None:
 def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -129,7 +129,7 @@ def cmd_scaling(args) -> int:
 def cmd_replay(args) -> int:
     try:
         text = Path(args.log).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return 2
     try:
@@ -153,7 +153,7 @@ def cmd_replay(args) -> int:
         try:
             expected = load_snapshot(Path(args.snapshot).read_text(),
                                      depth=params.depth)
-        except (OSError, InvalidProof, ValueError) as exc:
+        except (OSError, OracleError, ValueError) as exc:
             print(f"error: cannot load snapshot: {exc}", file=sys.stderr)
             return 2
         if expected.root != contract.state_root:

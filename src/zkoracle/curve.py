@@ -212,8 +212,8 @@ def _ext_add_affine(p, q):
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-# protocol hot paths re-verify identical signatures (mempool, witness check,
-# proof re-execution); both multiplications are pure, so memoize them
+# protocol hot paths re-verify identical signatures (vote intake, slash
+# building, proof verification); both multiplications are pure, so memoize them
 @lru_cache(maxsize=1 << 14)
 def scalar_mul(k: int, p: Point) -> Point:
     """k*P for any point: one doubling and at most one addition per comb

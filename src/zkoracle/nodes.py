@@ -2,16 +2,19 @@
 
 Every node is a single-threaded event processor over immutable messages; its
 account tree is mutated only by its own sync loop, replaying the contract's
-event log.  Votes are immutable values and the aggregator packages them in
-ascending validator index, so independent nodes produce bit-identical
-submissions from the same log and chain view.
+event log.  Votes are immutable values; the aggregator keeps the first
+accepted vote per validator and request, packages votes in ascending validator
+index, and hands over each witness builder's public inputs with their proof,
+so independent nodes produce bit-identical submissions from the same log and
+chain view.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from . import circuits, eddsa
-from .circuits import AGGREGATION, SLASH, Proof, vote_message_inputs
+from .circuits import AGGREGATION, SLASH, vote_message_inputs
 from .contract import Params, apply_event_to_tree, apply_slash_transfer
 from .errors import CorruptLog, OracleError
 from .eddsa import Signature
@@ -55,57 +58,6 @@ def check_finality(chain, block_number: int, threshold: int) -> bool:
     return chain.block_at(block_number) is not None
 
 
-class Mempool:
-    """Per-request vote store; the first vote per validator wins."""
-
-    def __init__(self):
-        self._votes = {}   # request_id -> {validator_index: Vote}
-        self._tallies = {}  # request_id -> {block_hash: count}
-
-    def add(self, vote: Vote) -> bool:
-        stored = self._votes.setdefault(vote.request_id, {})
-        if vote.validator_index in stored:
-            return False
-        stored[vote.validator_index] = vote
-        tally = self._tallies.setdefault(vote.request_id, {})
-        tally[vote.block_hash] = tally.get(vote.block_hash, 0) + 1
-        return True
-
-    def has(self, request_id: int, validator_index: int) -> bool:
-        return validator_index in self._votes.get(request_id, {})
-
-    def tally(self, request_id: int) -> dict:
-        return dict(self._tallies.get(request_id, {}))
-
-    def votes(self, request_id: int):
-        """All stored votes, ascending validator index."""
-        stored = self._votes.get(request_id, {})
-        return [stored[i] for i in sorted(stored)]
-
-    def votes_for(self, request_id: int, block_hash: int):
-        return [v for v in self.votes(request_id) if v.block_hash == block_hash]
-
-    def count(self, request_id: int) -> int:
-        return len(self._votes.get(request_id, {}))
-
-
-@dataclass(frozen=True)
-class Submission:
-    request_id: int
-    block_hash: int
-    validator_bits: int
-    post_state_root: int
-    proof: Proof
-
-
-@dataclass(frozen=True)
-class SlashAction:
-    request_id: int
-    val_index: int
-    post_state_root: int
-    proof: Proof
-
-
 class OracleNode:
     def __init__(self, name: str, keypair: eddsa.KeyPair, params: Params):
         self.name = name
@@ -115,7 +67,7 @@ class OracleNode:
         self.index: Optional[int] = None  # assigned when registered on-chain
         self.local_tree = StateTree(params.depth)
         self.last_seq = 0
-        self.mempool = Mempool()
+        self.votes = {}  # request_id -> {validator_index: first accepted vote}
 
     # -- state sync -------------------------------------------------------
 
@@ -144,9 +96,9 @@ class OracleNode:
     # -- aggregator side ------------------------------------------------------
 
     def on_vote(self, vote: Vote):
-        """Accept into the mempool iff the vote names a block hash in [0, P),
-        is fresh and is authenticated by the key registered at its index.
-        Returns (accepted, reason)."""
+        """Store the vote iff it names a block hash in [0, P), is the first from
+        its validator for the request and is authenticated by the key
+        registered at its index.  Returns (accepted, reason)."""
         if not 0 <= vote.validator_index < self.params.capacity:
             return False, "index-out-of-range"
         if not 0 <= vote.block_hash < P:
@@ -154,46 +106,42 @@ class OracleNode:
         account = self.local_tree.account(vote.validator_index)
         if account.is_empty():
             return False, "unregistered-validator"
-        if self.mempool.has(vote.request_id, vote.validator_index):
+        if vote.validator_index in self.votes.get(vote.request_id, ()):
             return False, "duplicate-vote"
         if not signed_by(account.pubkey, vote):
             return False, "invalid-signature"
-        self.mempool.add(vote)
+        self.votes.setdefault(vote.request_id, {})[vote.validator_index] = vote
         return True, None
 
-    def try_submit(self, request_id: int) -> Optional[Submission]:
-        """Package the first t same-hash votes (ascending index) once a
-        majority exists."""
+    def try_submit(self, request_id: int):
+        """(AggregationPublic, Proof) for the first t same-hash votes, ascending
+        index, once a majority exists; None before."""
         t = self.params.threshold
-        tally = self.mempool.tally(request_id)
-        winner = None
-        for block_hash, count in tally.items():
-            if count >= t:
-                winner = block_hash
-                break
+        stored = self.votes.get(request_id, {}).values()
+        tally = Counter(vote.block_hash for vote in stored)
+        winner = next((h for h, count in tally.items() if count >= t), None)
         if winner is None:
             return None
-        votes = self.mempool.votes_for(request_id, winner)[:t]
+        votes = sorted((v for v in stored if v.block_hash == winner),
+                       key=lambda v: v.validator_index)[:t]
         public, witness = circuits.build_aggregation_witness(
             self.local_tree, self.index, votes, request_id, winner)
-        proof = self.backend.prove(AGGREGATION, public, witness)
-        return Submission(request_id, winner, public.validator_bits,
-                          public.post_state_root, proof)
+        return public, self.backend.prove(AGGREGATION, public, witness)
 
     def build_slashes(self, request_id: int, answer_hash: int):
-        """Chain slash transactions for every provably dissenting vote,
-        ascending victim index; each pre-root is the previous post-root."""
-        actions = []
+        """(SlashPublic, Proof) for every provably dissenting vote, ascending
+        victim index; each pre-root is the previous post-root."""
+        slashes = []
         work = self.local_tree.copy()
-        for vote in self.mempool.votes(request_id):
-            if vote.block_hash == answer_hash or vote.validator_index == self.index:
+        stored = self.votes.get(request_id, {})
+        for index in sorted(stored):
+            vote = stored[index]
+            if vote.block_hash == answer_hash or index == self.index:
                 continue
-            if not signed_by(work.account(vote.validator_index).pubkey, vote):
+            if not signed_by(work.account(index).pubkey, vote):
                 continue  # an unauthenticated vote cannot be proven in-circuit
             public, witness = circuits.build_slash_witness(
                 work, self.index, vote, request_id, answer_hash)
-            proof = self.backend.prove(SLASH, public, witness)
-            actions.append(SlashAction(request_id, vote.validator_index,
-                                       public.post_state_root, proof))
-            apply_slash_transfer(work, self.index, vote.validator_index)
-        return actions
+            slashes.append((public, self.backend.prove(SLASH, public, witness)))
+            apply_slash_transfer(work, self.index, index)
+        return slashes

@@ -7,7 +7,7 @@ import random
 from itertools import combinations, product
 
 from . import eddsa
-from .circuits import _stage_aggregation, check_aggregation
+from .circuits import _stage_aggregation, check_aggregation, threshold
 from .merkle import Account, StateTree
 from .nodes import make_vote
 from .simnet import ScenarioConfig, run_scenario, verify_run
@@ -72,7 +72,7 @@ def random_scenario_config(seed: int) -> ScenarioConfig:
     rng = random.Random(seed)
     depth = 2
     committee = 4
-    t = (1 << depth) // 2 + 1
+    t = threshold(depth)
     behaviors = ("wrong_hash", "zero_vote", "equivocate", "duplicate_vote")
     adversaries = {}
     for index in rng.sample(range(committee), rng.randint(0, t - 1)):

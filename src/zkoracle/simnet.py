@@ -316,8 +316,8 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
     request_id = contract.request_block("client-0", block_number,
                                         contract.params.request_fee)
     plans = []
+    # answers read only the chain; a node syncs its tree when it aggregates
     for node in nodes:
-        node.sync(contract.events)
         answer = node.answer(block_number, chain)
         plans.append(_behavior_plan(behavior[node.index], node, answer,
                                     request_id, round_index))
@@ -347,13 +347,11 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
             if submission is None:
                 submission = aggregator.try_submit(request_id)
                 if submission is not None:
+                    public, proof = submission
                     answer_time = at
                     contract.set_time(at)
-                    contract.submit_block(aggregator.name, request_id,
-                                          submission.block_hash,
-                                          submission.validator_bits,
-                                          submission.post_state_root,
-                                          submission.proof)
+                    contract.submit_block(aggregator.name, request_id, public.block_hash,
+                                          public.validator_bits, public.post_state_root, proof)
         if submission is not None:
             break
         contract.set_time(deadline)
@@ -361,21 +359,21 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
     else:
         return RoundRecord(round_index, request_id, block_number), deadline
 
-    votes_received = aggregator.mempool.count(request_id)
+    votes_received = len(aggregator.votes[request_id])
     contract.set_time(settle_time)
     aggregator.sync(contract.events)
     answer_hash = contract.requests[request_id].answer_hash
-    actions = aggregator.build_slashes(request_id, answer_hash)
-    for action in actions:
-        contract.slash(aggregator.name, action.request_id, action.val_index,
-                       action.post_state_root, action.proof)
+    slashes = aggregator.build_slashes(request_id, answer_hash)
+    for public, proof in slashes:
+        contract.slash(aggregator.name, request_id, public.val_index,
+                       public.post_state_root, proof)
     depth = contract.params.depth
     record = RoundRecord(
         round_index, request_id, block_number, answered=True,
         correct=answer_hash == expected, latency=answer_time - clock,
-        votes_received=votes_received, slashes=len(actions),
+        votes_received=votes_received, slashes=len(slashes),
         aggregation_constraints=constraint_count(AGGREGATION, depth),
-        slash_constraints=len(actions) * constraint_count(SLASH, depth))
+        slash_constraints=len(slashes) * constraint_count(SLASH, depth))
     return record, settle_time
 
 

@@ -20,12 +20,16 @@ def test_run_honest_config(tmp_path):
     assert summary["safety_violations"] == 0
 
 
-def test_run_malformed_config(tmp_path):
+def test_run_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     bad.write_text('{"depth": 2, "unknown_knob": 5}')
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_bytes(b'{"depth": 2, "name": "\xff"}')  # not UTF-8
+    capsys.readouterr()
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o")]) == 2
 
@@ -68,7 +72,7 @@ def test_replay_round_trip(tmp_path, capsys):
     assert f"final root: {summary['final_root']}" in printed
 
 
-def test_replay_against_snapshot(tmp_path):
+def test_replay_against_snapshot(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--config", str(SCENARIOS / "honest_n4.json"), "--out", str(out)])
     assert main(["replay", "--log", str(out / "events.log"),
@@ -81,6 +85,13 @@ def test_replay_against_snapshot(tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     assert main(["replay", "--log", str(out / "events.log"),
                  "--snapshot", str(bad)]) == 1
+    # a line whose index lies outside the tree is bad input, not a crash
+    for index in (999, -1):
+        bad.write_text(f"{index} 1 2 3\n")
+        capsys.readouterr()
+        assert main(["replay", "--log", str(out / "events.log"),
+                     "--snapshot", str(bad)]) == 2
+        assert "error: cannot load snapshot" in capsys.readouterr().err
 
 
 def test_replay_deleted_record(tmp_path):
@@ -114,8 +125,13 @@ def test_replay_empty_log(tmp_path, capsys):
     assert "events: 0" in capsys.readouterr().out
 
 
-def test_replay_unreadable(tmp_path):
+def test_replay_unreadable(tmp_path, capsys):
     assert main(["replay", "--log", str(tmp_path / "nope.log")]) == 2
+    binary = tmp_path / "binary.log"
+    binary.write_bytes(b"\xff\xfe\x00")  # not UTF-8
+    capsys.readouterr()
+    assert main(["replay", "--log", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_scaling_rejects_bad_sizes(tmp_path):

@@ -1,4 +1,4 @@
-"""Node logic tests: voting, mempool, aggregation, slashing, state sync."""
+"""Node logic tests: voting, vote intake, aggregation, slashing, state sync."""
 
 import random
 from dataclasses import replace
@@ -10,7 +10,7 @@ from zkoracle.contract import Contract, Params, apply_slash_transfer
 from zkoracle.curve import L
 from zkoracle.errors import CorruptLog
 from zkoracle.field import P
-from zkoracle.nodes import Mempool, OracleNode, check_finality, make_vote, vote_message
+from zkoracle.nodes import OracleNode, check_finality, make_vote, vote_message
 from zkoracle.simnet import MockChain, ScenarioConfig, run_scenario
 
 P4 = Params(depth=2)
@@ -147,18 +147,22 @@ def test_on_request_unreachable_chain_is_retryable():
         nodes[1].answer(10, DownChain())
 
 
-# -- mempool / aggregator vote intake -----------------------------------------------------
+# -- aggregator vote intake ---------------------------------------------------------------
 
 
-def test_mempool_first_vote_wins():
-    pool = Mempool()
-    kp = eddsa.keygen(b"\x0b" * 32)
-    first = make_vote(kp.sk, 1, 5, 100)
-    second = make_vote(kp.sk, 1, 5, 200)
-    assert pool.add(first)
-    assert not pool.add(second)
-    assert pool.votes(5) == [first]
-    assert pool.tally(5) == {100: 1}
+def test_on_vote_first_vote_wins_under_equivocation():
+    # validator 1 votes 100, then 200: the second vote is refused, and the
+    # first still counts towards the majority for 100
+    contract, nodes = committee_with_contract()
+    agg = nodes[0]
+    sk = nodes[1].keypair.sk
+    assert agg.on_vote(make_vote(sk, 1, 0, 100)) == (True, None)
+    assert agg.on_vote(make_vote(sk, 1, 0, 200)) == (False, "duplicate-vote")
+    for i in (0, 3):
+        agg.on_vote(make_vote(nodes[i].keypair.sk, i, 0, 100))
+    public, _ = agg.try_submit(0)
+    assert public.block_hash == 100
+    assert public.validator_bits == 0b1011
 
 
 def test_on_vote_accepts_valid():
@@ -218,7 +222,8 @@ def test_on_vote_rejects_block_hash_outside_field():
             relabelled = replace(vote, block_hash=bad)
             assert nodes[0].on_vote(relabelled) == (False, "block-hash-out-of-range")
         assert nodes[0].on_vote(vote) == (True, None)
-    assert nodes[0].try_submit(0).block_hash == 123
+    public, _ = nodes[0].try_submit(0)
+    assert public.block_hash == 123
 
 
 def test_on_vote_rejects_wrong_key_for_index():
@@ -244,10 +249,9 @@ def test_try_submit_selects_lowest_indices():
     agg = nodes[0]
     for i in (3, 2, 1, 0):  # arrival order irrelevant, selection by index
         agg.on_vote(make_vote(nodes[i].keypair.sk, i, 0, 99))
-    submission = agg.try_submit(0)
-    assert submission is not None
-    assert submission.validator_bits == 0b0111  # 2t votes -> t lowest rewarded
-    assert submission.block_hash == 99
+    public, _ = agg.try_submit(0)
+    assert public.validator_bits == 0b0111  # 2t votes -> t lowest rewarded
+    assert public.block_hash == 99
 
 
 def test_try_submit_majority_of_mixed_votes():
@@ -256,9 +260,9 @@ def test_try_submit_majority_of_mixed_votes():
     agg.on_vote(make_vote(nodes[3].keypair.sk, 3, 0, 55))  # minority
     for i in (0, 1, 2):
         agg.on_vote(make_vote(nodes[i].keypair.sk, i, 0, 99))
-    submission = agg.try_submit(0)
-    assert submission.block_hash == 99
-    assert submission.validator_bits == 0b0111
+    public, _ = agg.try_submit(0)
+    assert public.block_hash == 99
+    assert public.validator_bits == 0b0111
 
 
 def test_submission_deterministic_across_nodes():
@@ -270,10 +274,9 @@ def test_submission_deterministic_across_nodes():
         for i in (2, 0, 1):
             agg.on_vote(make_vote(nodes[i].keypair.sk, i, 7 - 7, 99))
         results.append(agg.try_submit(0))
-    a, b = results
-    assert a.post_state_root == b.post_state_root
-    assert a.validator_bits == b.validator_bits
-    assert a.proof.payload == b.proof.payload
+    (a, a_proof), (b, b_proof) = results
+    assert a == b
+    assert a_proof.payload == b_proof.payload
 
 
 # -- slashing ---------------------------------------------------------------------------------
@@ -285,8 +288,8 @@ def test_build_slashes_single_dissenter():
     for i in (0, 1, 2):
         agg.on_vote(make_vote(nodes[i].keypair.sk, i, 0, 99))
     agg.on_vote(make_vote(nodes[3].keypair.sk, 3, 0, 55))
-    actions = agg.build_slashes(0, 99)
-    assert [a.val_index for a in actions] == [3]
+    slashes = agg.build_slashes(0, 99)
+    assert [public.val_index for public, _ in slashes] == [3]
 
 
 def test_build_slashes_chained_roots():
@@ -297,16 +300,17 @@ def test_build_slashes_chained_roots():
         agg.on_vote(make_vote(nodes[i].keypair.sk, i, 0, 99))
     for i in (5, 6):
         agg.on_vote(make_vote(nodes[i].keypair.sk, i, 0, 55))
-    actions = agg.build_slashes(0, 99)
-    assert [a.val_index for a in actions] == [5, 6]
+    slashes = agg.build_slashes(0, 99)
+    assert [public.val_index for public, _ in slashes] == [5, 6]
 
     # second slash must consume the first one's post root
     shadow = agg.local_tree.copy()
     apply_slash_transfer(shadow, 0, 5)
     mid_root = shadow.root
-    assert actions[0].post_state_root == mid_root
+    assert slashes[0][0].post_state_root == mid_root
+    assert slashes[1][0].pre_state_root == mid_root
     apply_slash_transfer(shadow, 0, 6)
-    assert actions[1].post_state_root == shadow.root
+    assert slashes[1][0].post_state_root == shadow.root
 
 
 def test_build_slashes_skips_unprovable_votes():
@@ -314,18 +318,17 @@ def test_build_slashes_skips_unprovable_votes():
     agg = nodes[0]
     good = make_vote(nodes[2].keypair.sk, 2, 0, 55)
     forged = replace(good, validator_index=3)  # wrong key for the index
-    agg.mempool.add(forged)
-    agg.mempool.add(good)
-    actions = agg.build_slashes(0, 99)
-    assert [a.val_index for a in actions] == [2]
+    agg.votes[0] = {3: forged, 2: good}  # as if stored without a signature check
+    slashes = agg.build_slashes(0, 99)
+    assert [public.val_index for public, _ in slashes] == [2]
 
 
 def test_zero_vote_is_slashable_dissent():
     contract, nodes = committee_with_contract()
     agg = nodes[0]
     agg.on_vote(make_vote(nodes[3].keypair.sk, 3, 0, 0))
-    actions = agg.build_slashes(0, 99)
-    assert [a.val_index for a in actions] == [3]
+    slashes = agg.build_slashes(0, 99)
+    assert [public.val_index for public, _ in slashes] == [3]
 
 
 # -- sync -------------------------------------------------------------------------------------
