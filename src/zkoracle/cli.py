@@ -143,10 +143,8 @@ def cmd_replay(args) -> int:
     print(f"final root: {contract.state_root}")
     print(f"escrow: {contract.escrow}")
     print("balances:")
-    for index in contract.occupied_indices():
-        account = contract.account(index)
-        owner = contract.owner_of.get(index, "?")
-        print(f"  index {index}: {account.balance} ({owner})")
+    for index, owner in sorted(contract.owner_of.items()):
+        print(f"  index {index}: {contract.account(index).balance} ({owner})")
 
     problems = conservation_trace(contract)
     if args.snapshot:

@@ -27,8 +27,8 @@ from .errors import (AlreadyExiting, AlreadySlashed, CommitteeFull, CorruptLog,
                      InvalidProof, NoCommittee, NotAggregator, NotExiting, NotOwner,
                      OracleError, RequestNotPending, RequestPending, StakeTooLow)
 from .field import P
-from .merkle import (Account, MerkleProof, StateTree, empty_account, leaf_hash,
-                     proof_index, verify_proof)
+from .merkle import (MAX_LOG_DEPTH, Account, MerkleProof, StateTree, empty_account,
+                     leaf_hash, proof_index, verify_proof)
 
 MIN_STAKE = 100
 EXIT_DELAY = 7 * 24 * 3600  # two-step departure: announce, then wait this long
@@ -132,20 +132,20 @@ class Contract:
     def tree_snapshot(self) -> StateTree:
         return self._tree.copy()
 
+    # owner_of's keys are the non-empty leaves: member keys are on the curve,
+    # Withdrawn empties a leaf and drops its owner, no event credits a non-member
     def occupied_indices(self):
-        return self._tree.occupied_indices()
+        return sorted(self.owner_of)
 
     def total_staked(self) -> int:
-        return sum(self._tree.account(i).balance for i in self._tree.occupied_indices())
+        return sum(self._tree.account(i).balance for i in self.owner_of)
 
     def get_aggregator(self) -> int:
         """The first member at or after the cursor, wrapping around."""
+        if not self.owner_of:
+            raise NoCommittee("no registered oracle nodes")
         n = self.params.capacity
-        for k in range(n):
-            idx = (self.aggregator_cursor + k) % n
-            if not self._tree.account(idx).is_empty():
-                return idx
-        raise NoCommittee("no registered oracle nodes")
+        return min(self.owner_of, key=lambda i: (i - self.aggregator_cursor) % n)
 
     # -- time -----------------------------------------------------------
 
@@ -319,6 +319,7 @@ class Contract:
             request = self._slashable(p["request_id"], p["val_index"])
             if p["agg_index"] != request.agg_index:
                 raise NotAggregator(f"index {p['agg_index']} did not answer the request")
+            self._require_member(p["agg_index"])  # its leaf is credited
             self._require_member(p["val_index"])
             self._tree = self._updated_tree(event)
             self.slashed.add((p["request_id"], p["val_index"]))
@@ -379,10 +380,7 @@ class Contract:
             raise InvalidInput(f"index {index} is not a registered member")
 
     def _lowest_empty_index(self) -> Optional[int]:
-        for i in range(self.params.capacity):
-            if self._tree.account(i).is_empty():
-                return i
-        return None
+        return next((i for i in range(self.params.capacity) if i not in self.owner_of), None)
 
     def _check_account_proof(self, index: int, account: Account,
                              proof: MerkleProof) -> None:
@@ -518,9 +516,6 @@ LOG_FIELDS = {
     SLASHED: dict(request_id=int, agg_index=int, val_index=int, post_state_root=int),
     AGGREGATOR_TIMEOUT: dict(index=int),
 }
-
-# a logged tree of this depth is still small enough to rebuild in memory
-MAX_LOG_DEPTH = 16
 
 
 def _finite_float(raw: str) -> float:

@@ -1,9 +1,12 @@
 """Sparse Merkle tree of committee accounts.
 
 Leaves commit to (index, pubkey.x, pubkey.y, balance); unoccupied slots all
-carry the same empty leaf hash(0,0,0,0) so an all-empty tree of depth D is the
-D-fold self-hash of that constant.  Direction bits in a proof are the binary
-decomposition of the leaf index, LSB first (0 = node is the left child).
+carry the same empty leaf hash(0,0,0,0) so an all-empty subtree of height h is
+the h-fold self-hash of that constant, one precomputed hash per level.  A tree
+holds an account only for each occupied slot and None for the others, so
+building or copying one allocates no account per slot.  Direction bits in a
+proof are the binary decomposition of the leaf index, LSB first (0 = node is
+the left child).
 
 Writes are lazy: set_account stores the account and marks its leaf dirty, and
 the next read of root, prove or copy rehashes every dirty node once, so a batch
@@ -11,12 +14,16 @@ of k writes costs at most k leaf hashes plus one hash per distinct ancestor.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .curve import Point
 from .errors import IndexMismatch, IndexOutOfRange, InvalidProof
 from .mimc import mimc_hash
 
 ZERO_POINT = Point(0, 0)
+
+# the deepest tree: one this deep still rebuilds from a log in memory
+MAX_LOG_DEPTH = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,6 +45,9 @@ def leaf_hash(account: Account) -> int:
 
 
 EMPTY_LEAF = leaf_hash(empty_account(0))
+# EMPTY_NODES[h] is the root of an all-empty subtree of height h
+EMPTY_NODES = tuple(accumulate(range(MAX_LOG_DEPTH), lambda h, _: mimc_hash([h, h]),
+                               initial=EMPTY_LEAF))
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,24 +76,21 @@ def verify_proof(root: int, proof: MerkleProof) -> bool:
 
 
 class StateTree:
-    """Fixed-capacity (2^depth) account tree that caches every node hash.
+    """Fixed-capacity (2^depth) account tree that stores only its occupied
+    accounts and caches every node hash.
 
     Writes only mark leaves dirty; root, prove and copy rehash first.  Single
     writer at a time; use copy() to snapshot for witness building.
     """
 
     def __init__(self, depth: int = 8):
-        if depth < 1:
-            raise IndexOutOfRange("depth must be at least 1")
+        if not 1 <= depth <= MAX_LOG_DEPTH:
+            raise IndexOutOfRange(f"depth must be in [1, {MAX_LOG_DEPTH}]")
         self.depth = depth
         self.capacity = 1 << depth
-        self.accounts = [empty_account(i) for i in range(self.capacity)]
+        self.accounts = [None] * self.capacity  # None marks an empty slot
         # levels[0] = leaf hashes, levels[depth] = [root]
-        self.levels = [[EMPTY_LEAF] * self.capacity]
-        for d in range(depth):
-            below = self.levels[d]
-            node = mimc_hash([below[0], below[0]])
-            self.levels.append([node] * (len(below) // 2))
+        self.levels = [[EMPTY_NODES[d]] * (self.capacity >> d) for d in range(depth + 1)]
         self._dirty = set()  # leaf indices written since the last rehash
 
     @property
@@ -93,17 +100,18 @@ class StateTree:
 
     def account(self, index: int) -> Account:
         self._check_index(index)
-        return self.accounts[index]
+        account = self.accounts[index]
+        return empty_account(index) if account is None else account
 
     def occupied_indices(self):
-        return [i for i, a in enumerate(self.accounts) if not a.is_empty()]
+        return [i for i, a in enumerate(self.accounts) if a is not None]
 
     def set_account(self, index: int, account: Account) -> None:
         """Replace a leaf and mark it dirty; hashing waits for the next read."""
         self._check_index(index)
         if account.index != index:
             raise IndexMismatch(f"account.index {account.index} != leaf position {index}")
-        self.accounts[index] = account
+        self.accounts[index] = None if account.is_empty() else account
         self._dirty.add(index)
 
     def prove(self, index: int) -> MerkleProof:
@@ -136,7 +144,7 @@ class StateTree:
         leaves = self.levels[0]
         for i in self._dirty:
             account = self.accounts[i]
-            leaves[i] = EMPTY_LEAF if account.is_empty() else leaf_hash(account)
+            leaves[i] = EMPTY_LEAF if account is None else leaf_hash(account)
         positions = self._dirty
         for d in range(self.depth):
             below, above = self.levels[d], self.levels[d + 1]
@@ -152,10 +160,8 @@ class StateTree:
 
 def dump_snapshot(tree: StateTree) -> str:
     """Occupied leaves as 'index pubkey.x pubkey.y balance' lines, decimal."""
-    lines = []
-    for i in tree.occupied_indices():
-        a = tree.accounts[i]
-        lines.append(f"{a.index} {a.pubkey.x} {a.pubkey.y} {a.balance}")
+    lines = [f"{a.index} {a.pubkey.x} {a.pubkey.y} {a.balance}"
+             for a in tree.accounts if a is not None]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -324,7 +324,7 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
     node_at_ip = {contract.ip_of[n.index]: n for n in nodes}
 
     submission = None
-    for attempt in range(len(contract.occupied_indices())):
+    for attempt in range(len(contract.owner_of)):
         sent = clock + attempt * T_AGG
         # not sent + T_AGG, which can round one ulp apart in the logged times
         deadline = clock + (attempt + 1) * T_AGG

@@ -9,8 +9,8 @@ import pytest
 from helpers import RefTree, honest_votes, hostile_payloads
 from zkoracle import circuits, eddsa
 from zkoracle.circuits import AGGREGATION, build_aggregation_witness, prove
-from zkoracle.contract import (Contract, Params, apply_slash_transfer, dump_events,
-                               dump_log, parse_events, parse_log, replay)
+from zkoracle.contract import (SLASHED, Contract, Event, Params, apply_slash_transfer,
+                               dump_events, dump_log, parse_events, parse_log, replay)
 from zkoracle.errors import (AlreadyExiting, AlreadySlashed, CommitteeFull,
                              CorruptLog, ExitTimeNotReached, FeeTooLow,
                              InsufficientStake, InvalidInput, InvalidProof,
@@ -538,6 +538,23 @@ def test_slash_bound_to_the_answering_aggregator():
         contract.slash("owner-0", 0, 3, public.post_state_root, proof)
     assert contract.state_root == root
     assert not contract.slashed
+
+
+def test_replayed_slash_cannot_credit_a_withdrawn_aggregator():
+    # live, only the answering aggregator's owner may slash; replay must refuse
+    # the same event once that aggregator has withdrawn, or the stake would
+    # land on an empty leaf that no member owns
+    contract, _, _, _, _ = slashable_setup()
+    contract.exit("owner-0", contract.account(0), contract.prove(0))
+    contract.set_time(contract.now + contract.params.exit_delay)
+    contract.withdraw("owner-0", contract.account(0), contract.prove(0))
+    tree = contract.tree_snapshot()
+    apply_slash_transfer(tree, 0, 3)
+    forged = Event(len(contract.events), contract.now, SLASHED,
+                   dict(request_id=0, agg_index=0, val_index=3,
+                        post_state_root=tree.root))
+    with pytest.raises(CorruptLog, match="index 0 is not a registered member"):
+        replay(contract.events + [forged], P4)
 
 
 def test_slash_of_a_relabelled_majority_vote_rejected():

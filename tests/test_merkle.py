@@ -12,8 +12,8 @@ import pytest
 from helpers import RefTree, build_committee
 from zkoracle import eddsa, merkle
 from zkoracle.errors import IndexMismatch, IndexOutOfRange, InvalidProof
-from zkoracle.merkle import (EMPTY_LEAF, Account, MerkleProof, StateTree,
-                             dump_snapshot, empty_account, leaf_hash,
+from zkoracle.merkle import (EMPTY_LEAF, MAX_LOG_DEPTH, Account, MerkleProof,
+                             StateTree, dump_snapshot, empty_account, leaf_hash,
                              load_snapshot, proof_index, root_from_path,
                              verify_proof)
 from zkoracle.mimc import mimc_hash
@@ -40,6 +40,45 @@ def test_empty_roots_frozen():
     assert StateTree(1).root == EMPTY_ROOT_D1
     assert StateTree(2).root == EMPTY_ROOT_D2
     assert StateTree(2).root == mimc_hash([EMPTY_ROOT_D1, EMPTY_ROOT_D1])
+
+
+def test_construction_and_copy_allocate_no_account_per_slot(monkeypatch):
+    calls = []
+    real = merkle.empty_account
+    monkeypatch.setattr(merkle, "empty_account", lambda i: calls.append(i) or real(i))
+    StateTree(8).copy()
+    assert calls == []
+
+
+def test_largest_tree():
+    depth = MAX_LOG_DEPTH
+    tree = StateTree(depth)
+    root = EMPTY_LEAF
+    for _ in range(depth):
+        root = mimc_hash([root, root])
+    assert tree.root == root
+    last = (1 << depth) - 1
+    for index in (0, last):
+        assert tree.account(index) == Account(index, merkle.ZERO_POINT, 0)
+        assert tree.prove(index).leaf == EMPTY_LEAF
+
+    kp = eddsa.keygen(b"\x05" * 32)
+    dup = tree.copy()
+    dup.set_account(last, Account(last, kp.pk, 7))
+    assert dup.root != root
+    assert tree.root == root
+    assert tree.account(last).is_empty()
+    assert tree.occupied_indices() == []
+
+    text = f"0 {kp.pk.x} {kp.pk.y} 1\n{last} {kp.pk.x} {kp.pk.y} 2\n"
+    loaded = load_snapshot(text, depth=depth)
+    assert dump_snapshot(loaded) == text
+    dup.set_account(0, Account(0, kp.pk, 1))
+    dup.set_account(last, Account(last, kp.pk, 2))
+    assert loaded.root == dup.root
+    for bad in (0, depth + 1):
+        with pytest.raises(IndexOutOfRange):
+            StateTree(bad)
 
 
 def test_set_then_restore_returns_to_empty_root():

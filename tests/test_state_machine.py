@@ -7,8 +7,9 @@ from dataclasses import astuple
 
 from zkoracle import circuits, eddsa
 from zkoracle.circuits import AGGREGATION, SLASH, build_aggregation_witness, prove
-from zkoracle.contract import (Contract, Params, conservation_trace, dump_log,
-                               parse_log, replay)
+from zkoracle.contract import (BLOCK_SUBMITTED, EXITED, REGISTERED, REPLACED, SLASHED,
+                               WITHDRAWN, Contract, Params, conservation_trace,
+                               dump_log, parse_log, replay)
 from zkoracle.errors import OracleError
 from zkoracle.merkle import dump_snapshot
 from zkoracle.nodes import make_vote
@@ -149,3 +150,29 @@ def test_random_transactions_replay_atomically():
                 ("op_submit", "post-root-mismatch"), ("op_slash", "ok"),
                 ("op_slash", "NotAggregator"), ("op_timeout", "ok")]:
         assert outcomes.get(key), f"no {key} in {sorted(outcomes)}"
+
+
+def test_membership_matches_tree_scan_after_every_event():
+    # occupied_indices, get_aggregator and total_staked read owner_of, never
+    # the leaves: after every transaction, failed ones included, owner_of's
+    # keys must be exactly the tree's non-empty leaves
+    kinds = set()
+    for seq in range(4):
+        rng = random.Random(7100 + seq)
+        c = Contract(Params(depth=2))
+        for i in range(rng.randint(3, 4)):
+            c.register(f"o{i}", KEYS[i].pk, "10.0.0.1", 100)
+        for _ in range(150):
+            try:
+                rng.choice(OPS)(c, rng)
+            except OracleError:
+                pass
+            tree = c.tree_snapshot()
+            scan = [i for i in range(c.params.capacity) if not tree.account(i).is_empty()]
+            assert c.occupied_indices() == tree.occupied_indices() == scan
+            assert c.total_staked() == sum(tree.account(i).balance for i in scan)
+            if scan:  # the first member at or after the cursor, wrapping around
+                cursor = c.aggregator_cursor
+                assert c.get_aggregator() == next((i for i in scan if i >= cursor), scan[0])
+        kinds.update(event.kind for event in c.events)
+    assert {REGISTERED, REPLACED, EXITED, WITHDRAWN, BLOCK_SUBMITTED, SLASHED} <= kinds
