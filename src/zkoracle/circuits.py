@@ -11,6 +11,12 @@ therefore depend only on (circuit, D, t), never on witness values.
 evaluation over the widest witness, so no prover re-runs its own circuit to
 report what a proof costs.
 
+The evaluator hashes only what a decision reads: a running root stays a
+pending fold (`_same_root`), while the meter charges every node hash of a
+full fold, so counts and failure sites are those of hashing every root to
+the top.  A verify right after the build hashes nothing the builder's tree
+did not.
+
 The payouts the aggregation circuit credits, AGG_REWARD to the aggregator and
 VAL_REWARD to each of the t voters, are constants of the circuit, as they
 would be of a SNARK's verifying key; no caller can choose other values.  The
@@ -36,8 +42,8 @@ from .curve import A, D, L, Point
 from .eddsa import Signature, challenge_inputs
 from .errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
 from .field import P
-from .merkle import Account, MerkleProof, StateTree
-from .mimc import ROUNDS, permute
+from .merkle import MAX_LOG_DEPTH, Account, MerkleProof, StateTree
+from .mimc import ROUNDS, mimc_hash, permute
 
 AGG_REWARD = 50
 VAL_REWARD = 10
@@ -199,31 +205,75 @@ def _leaf(cs: ConstraintMeter, account: Account, balance: int) -> int:
     return cs.mimc([account.index, account.pubkey.x, account.pubkey.y, balance])
 
 
-def _fold(cs: ConstraintMeter, leaf: int, path, bits) -> int:
-    h = leaf
-    for sibling, bit in zip(path, bits, strict=True):
-        h = cs.mimc([sibling, h]) if bit else cs.mimc([h, sibling])
+@dataclass(frozen=True, slots=True)
+class _Fold:
+    """A root left unhashed: leaf folded up along path, bits choosing the sides."""
+    leaf: int
+    path: tuple
+    bits: tuple
+
+
+def _fold(cs: ConstraintMeter, leaf: int, proof: MerkleProof, bits) -> _Fold:
+    """leaf folded up proof's path: every node hash is counted now and
+    computed only when a decision reads it."""
+    if len(proof.path) != len(bits):
+        raise ValueError("a Merkle path has one sibling per tree level")
+    cs.count += len(bits) * 2 * COST_MIMC_PERMUTE
+    return _Fold(leaf, proof.path, bits)
+
+
+def _root_hash(fold: _Fold) -> int:
+    """The fold hashed all the way up."""
+    h = fold.leaf
+    for sibling, bit in zip(fold.path, fold.bits):
+        h = mimc_hash([sibling, h]) if bit else mimc_hash([h, sibling])
     return h
 
 
-def _membership(cs: ConstraintMeter, root: int, account: Account,
+def _same_root(a: _Fold, b) -> bool:
+    """Whether fold a ends at root b, a hash or another fold.
+
+    Two folds that hash the same ordered pair at some level, under the same
+    siblings and directions above it, end at the same root whatever those
+    are, so neither is hashed past that level.  Folds that never meet are
+    hashed to the top and compared, so the answer is exact for every
+    witness, colliding ones included.
+    """
+    if not isinstance(b, _Fold):
+        return _root_hash(a) == b
+    # from level meet up, both folds climb under the same siblings and directions
+    meet = len(a.path)
+    while meet and (a.path[meet - 1], a.bits[meet - 1]) == (b.path[meet - 1], b.bits[meet - 1]):
+        meet -= 1
+    ha, hb = a.leaf, b.leaf
+    for level, (sa, ba, sb, bb) in enumerate(zip(a.path, a.bits, b.path, b.bits)):
+        pair_a = [sa, ha] if ba else [ha, sa]
+        pair_b = [sb, hb] if bb else [hb, sb]
+        if level + 1 >= meet and pair_a == pair_b:
+            return True
+        ha, hb = mimc_hash(pair_a), mimc_hash(pair_b)
+    return ha == hb
+
+
+def _membership(cs: ConstraintMeter, root, account: Account,
                 proof: MerkleProof, depth: int, site: str) -> tuple:
     """Prove account is in the tree at the position given by its own index.
 
     Directions are derived in-circuit from the index bits, which also range
-    checks the index below 2^D.  Returns the bits for the later root update.
+    checks the index below 2^D.  root is a hash or the fold of an earlier
+    update.  Returns the bits for the later root update.
     """
     bits = cs.decompose(account.index, depth, f"{site}.index-bits")
     leaf = _leaf(cs, account, account.balance)
     cs.assert_eq(leaf, proof.leaf, f"{site}.leaf")
-    cs.assert_eq(_fold(cs, leaf, proof.path, bits), root, f"{site}.membership")
+    member = _fold(cs, leaf, proof, bits)
+    cs.assert_eq(_same_root(member, root), True, f"{site}.membership")
     return bits
 
 
 def _updated_root(cs: ConstraintMeter, account: Account, new_balance: int,
-                  proof: MerkleProof, bits) -> int:
-    new_leaf = _leaf(cs, account, new_balance)
-    return _fold(cs, new_leaf, proof.path, bits)
+                  proof: MerkleProof, bits) -> _Fold:
+    return _fold(cs, _leaf(cs, account, new_balance), proof, bits)
 
 
 def _verify_sig(cs: ConstraintMeter, pk: Point, msg: int, sig: Signature, site: str) -> None:
@@ -248,7 +298,8 @@ def check_aggregation(public: AggregationPublic,
     root and its reward update; per vote, membership against the running
     root, message hash, signature check, claimed-hash equality, reward update
     and bit accumulation; final equality of the accumulated validator bits
-    and the running root with the public inputs.
+    and the running root with the public inputs.  The running root is a
+    pending fold until the post-state comparison, which hashes it to the top.
     """
     depth = len(witness.aggregator_proof.path)
     t = threshold(depth)
@@ -281,7 +332,7 @@ def check_aggregation(public: AggregationPublic,
 
 
     cs.assert_eq(actual_bits, public.validator_bits, "validator-bits")
-    cs.assert_eq(root, public.post_state_root, "post-state-root")
+    cs.assert_eq(_root_hash(root), public.post_state_root, "post-state-root")
     return cs.report()
 
 
@@ -316,7 +367,7 @@ def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
 
     # the circuit sees the claimed hash as a field element: h + P is a vote for h
     cs.assert_ne(public.block_hash, victim.claimed_block_hash % P, "dissent")
-    cs.assert_eq(root, public.post_state_root, "post-state-root")
+    cs.assert_eq(_root_hash(root), public.post_state_root, "post-state-root")
     return cs.report()
 
 
@@ -502,6 +553,16 @@ AGGREGATION = "aggregation"
 SLASH = "slash"
 
 
+def _payload(circuit_id: str, witness) -> bytes:
+    if circuit_id == AGGREGATION:
+        obj = aggregation_witness_to_obj(witness)
+    elif circuit_id == SLASH:
+        obj = slash_witness_to_obj(witness)
+    else:
+        raise UnknownBackend(f"unknown circuit: {circuit_id}")
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
 class TransparentBackend:
     """Proof = serialized witness; verify = re-execute the circuit.
 
@@ -512,26 +573,22 @@ class TransparentBackend:
     backend_id = "transparent"
 
     def prove(self, circuit_id: str, public, witness) -> Proof:
-        if circuit_id == AGGREGATION:
-            obj = aggregation_witness_to_obj(witness)
-        elif circuit_id == SLASH:
-            obj = slash_witness_to_obj(witness)
-        else:
-            raise UnknownBackend(f"unknown circuit: {circuit_id}")
-        payload = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-        return Proof(self.backend_id, circuit_id, payload)
+        return Proof(self.backend_id, circuit_id, _payload(circuit_id, witness))
 
     def verify(self, circuit_id: str, public, proof: Proof) -> bool:
         if proof.backend_id != self.backend_id or proof.circuit_id != circuit_id:
             return False
+        if circuit_id not in (AGGREGATION, SLASH):
+            raise UnknownBackend(f"unknown circuit: {circuit_id}")
         try:
+            # an oversize payload is refused unread: trailing spaces keep its JSON
+            if len(proof.payload) > _payload_bound(circuit_id, public):
+                return False
             obj = json.loads(proof.payload)
             if circuit_id == AGGREGATION:
                 report = check_aggregation(public, aggregation_witness_from_obj(obj))
-            elif circuit_id == SLASH:
-                report = check_slash(public, slash_witness_from_obj(obj))
             else:
-                raise UnknownBackend(f"unknown circuit: {circuit_id}")
+                report = check_slash(public, slash_witness_from_obj(obj))
         # RecursionError: json.loads on deeply nested arrays
         except (KeyError, ValueError, TypeError, RecursionError, WrongVoteCount):
             return False
@@ -559,9 +616,28 @@ def _widest_witness(circuit_id: str, depth: int):
 def max_payload_size(circuit_id: str, depth: int) -> int:
     """Bytes in the longest payload an honest prover emits at this depth, the
     widest witness's.  A longer payload is padded or malformed, so a verifier
-    can refuse it before parsing it."""
-    return len(_TRANSPARENT.prove(circuit_id, None,
-                                  _widest_witness(circuit_id, depth)).payload)
+    can refuse it before parsing it.  The widest witness's vote records all
+    have one length, so its payload is the one-vote payload plus t - 1 more
+    records and commas, and no bound serializes t votes."""
+    witness = _widest_witness(circuit_id, depth)
+    if circuit_id != AGGREGATION:
+        return len(_payload(circuit_id, witness))
+    one, two = (len(_payload(AGGREGATION, replace(witness, votes=witness.votes[:n])))
+                for n in (1, 2))
+    return one + (threshold(depth) - 1) * (two - one)
+
+
+def _payload_bound(circuit_id: str, public) -> int:
+    """The longest honest payload for these public inputs: an aggregation's
+    depth D follows from its vote count t = 2^(D-1) + 1, and 0 when no D in
+    [1, MAX_LOG_DEPTH] fits; a slash is bounded at the deepest tree."""
+    if circuit_id == SLASH:
+        return max_payload_size(SLASH, MAX_LOG_DEPTH)
+    above_half = int.bit_count(public.validator_bits) - 1
+    depth = above_half.bit_length()
+    if not 1 <= depth <= MAX_LOG_DEPTH or above_half != 1 << (depth - 1):
+        return 0
+    return max_payload_size(AGGREGATION, depth)
 
 
 @lru_cache(maxsize=None)

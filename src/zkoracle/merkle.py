@@ -8,9 +8,12 @@ building or copying one allocates no account per slot.  Direction bits in a
 proof are the binary decomposition of the leaf index, LSB first (0 = node is
 the left child).
 
-Writes are lazy: set_account stores the account and marks its leaf dirty, and
-the next read of root, prove or copy rehashes every dirty node once, so a batch
-of k writes costs at most k leaf hashes plus one hash per distinct ancestor.
+Hashing waits for a read: set_account stores the account and marks its leaf
+and every ancestor stale, and root, prove and copy hash only the stale nodes
+below what they read, each once.  So a batch of k writes costs at most k leaf
+hashes plus one hash per distinct ancestor, and a proof read between writes
+hashes only the stale subtrees that hang off its path, never the running root
+above them.
 """
 
 from dataclasses import dataclass
@@ -77,10 +80,13 @@ def verify_proof(root: int, proof: MerkleProof) -> bool:
 
 class StateTree:
     """Fixed-capacity (2^depth) account tree that stores only its occupied
-    accounts and caches every node hash.
+    accounts and caches every node hash it has computed.
 
-    Writes only mark leaves dirty; root, prove and copy rehash first.  Single
-    writer at a time; use copy() to snapshot for witness building.
+    A write sets its leaf and each ancestor to None in levels, stopping at
+    the first one that is None already, so a stale node's ancestors are all
+    stale.  root and prove hash the stale nodes below the ones they read;
+    copy hashes them all first, so that neither tree hashes them again.
+    Single writer at a time; use copy() to snapshot for witness building.
     """
 
     def __init__(self, depth: int = 8):
@@ -89,69 +95,66 @@ class StateTree:
         self.depth = depth
         self.capacity = 1 << depth
         self.accounts = [None] * self.capacity  # None marks an empty slot
-        # levels[0] = leaf hashes, levels[depth] = [root]
+        # levels[0] = leaf hashes, levels[depth] = [root]; None marks a stale node
         self.levels = [[EMPTY_NODES[d]] * (self.capacity >> d) for d in range(depth + 1)]
-        self._dirty = set()  # leaf indices written since the last rehash
 
     @property
     def root(self) -> int:
-        self._rehash()
-        return self.levels[self.depth][0]
+        return self._node(self.depth, 0)
 
     def account(self, index: int) -> Account:
         self._check_index(index)
         account = self.accounts[index]
         return empty_account(index) if account is None else account
 
-    def occupied_indices(self):
-        return [i for i, a in enumerate(self.accounts) if a is not None]
-
     def set_account(self, index: int, account: Account) -> None:
-        """Replace a leaf and mark it dirty; hashing waits for the next read."""
+        """Replace a leaf and mark it and its ancestors stale; hashing waits
+        for a read."""
         self._check_index(index)
         if account.index != index:
             raise IndexMismatch(f"account.index {account.index} != leaf position {index}")
         self.accounts[index] = None if account.is_empty() else account
-        self._dirty.add(index)
+        pos = index
+        for level in self.levels:
+            if level[pos] is None:
+                break  # and so is every node above it
+            level[pos] = None
+            pos >>= 1
 
     def prove(self, index: int) -> MerkleProof:
+        """The leaf and its siblings; hashes only the stale nodes below them."""
         self._check_index(index)
-        self._rehash()
         path = []
         directions = []
         pos = index
         for d in range(self.depth):
-            path.append(self.levels[d][pos ^ 1])
+            path.append(self._node(d, pos ^ 1))
             directions.append(pos & 1)
             pos >>= 1
-        return MerkleProof(self.levels[0][index], tuple(path), tuple(directions))
+        return MerkleProof(self._node(0, index), tuple(path), tuple(directions))
 
     def copy(self) -> "StateTree":
-        """An independent tree with the same accounts and no pending writes."""
-        self._rehash()
+        """An independent tree with the same accounts and no stale node."""
+        self._node(self.depth, 0)
         dup = StateTree.__new__(StateTree)
         dup.depth = self.depth
         dup.capacity = self.capacity
         dup.accounts = list(self.accounts)
         dup.levels = [list(level) for level in self.levels]
-        dup._dirty = set()
         return dup
 
-    def _rehash(self) -> None:
-        """Hash each dirty leaf, then each internal node above one, bottom up."""
-        if not self._dirty:
-            return
-        leaves = self.levels[0]
-        for i in self._dirty:
-            account = self.accounts[i]
-            leaves[i] = EMPTY_LEAF if account is None else leaf_hash(account)
-        positions = self._dirty
-        for d in range(self.depth):
-            below, above = self.levels[d], self.levels[d + 1]
-            positions = {i >> 1 for i in positions}
-            for pos in positions:
-                above[pos] = mimc_hash([below[2 * pos], below[2 * pos + 1]])
-        self._dirty = set()
+    def _node(self, d: int, pos: int) -> int:
+        """The hash at level d, position pos, hashing the stale nodes under it."""
+        level = self.levels[d]
+        node = level[pos]
+        if node is None:
+            if d:
+                node = mimc_hash([self._node(d - 1, 2 * pos), self._node(d - 1, 2 * pos + 1)])
+            else:
+                account = self.accounts[pos]
+                node = EMPTY_LEAF if account is None else leaf_hash(account)
+            level[pos] = node
+        return node
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.capacity:

@@ -6,7 +6,8 @@ event log.  Votes are immutable values; the aggregator keeps the first
 accepted vote per validator and request, packages votes in ascending validator
 index, and hands over each witness builder's public inputs with their proof,
 so independent nodes produce bit-identical submissions from the same log and
-chain view.
+chain view.  After it has submitted, it stores votes for its answer without
+checking their signatures, and never packages them.
 """
 
 from collections import Counter
@@ -68,6 +69,8 @@ class OracleNode:
         self.local_tree = StateTree(params.depth)
         self.last_seq = 0
         self.votes = {}  # request_id -> {validator_index: first accepted vote}
+        self.answered = {}  # request_id -> the block hash this node submitted
+        self.unchecked = set()  # (request_id, validator_index) of unverified votes
 
     # -- state sync -------------------------------------------------------
 
@@ -98,7 +101,13 @@ class OracleNode:
     def on_vote(self, vote: Vote):
         """Store the vote iff it names a block hash in [0, P), is the first from
         its validator for the request and is authenticated by the key
-        registered at its index.  Returns (accepted, reason)."""
+        registered at its index.  Returns (accepted, reason).
+
+        Once this node has submitted an answer, a vote for that answer can be
+        neither packaged nor slashed, so it is stored with its signature
+        unchecked.  Such a vote holds its validator's slot only until a second
+        vote from that validator arrives: the stored one is checked then, and
+        if it fails, the new vote takes the slot, as if it had come first."""
         if not 0 <= vote.validator_index < self.params.capacity:
             return False, "index-out-of-range"
         if not 0 <= vote.block_hash < P:
@@ -106,18 +115,29 @@ class OracleNode:
         account = self.local_tree.account(vote.validator_index)
         if account.is_empty():
             return False, "unregistered-validator"
-        if vote.validator_index in self.votes.get(vote.request_id, ()):
-            return False, "duplicate-vote"
-        if not signed_by(account.pubkey, vote):
+        slot = (vote.request_id, vote.validator_index)
+        stored = self.votes.get(vote.request_id, {})
+        first = stored.get(vote.validator_index)
+        if first is not None:
+            if slot not in self.unchecked:
+                return False, "duplicate-vote"
+            self.unchecked.discard(slot)
+            if signed_by(account.pubkey, first):
+                return False, "duplicate-vote"
+            del stored[vote.validator_index]
+        if self.answered.get(vote.request_id) == vote.block_hash:
+            self.unchecked.add(slot)
+        elif not signed_by(account.pubkey, vote):
             return False, "invalid-signature"
         self.votes.setdefault(vote.request_id, {})[vote.validator_index] = vote
         return True, None
 
     def try_submit(self, request_id: int):
-        """(AggregationPublic, Proof) for the first t same-hash votes, ascending
-        index, once a majority exists; None before."""
+        """(AggregationPublic, Proof) for the first t same-hash checked votes,
+        ascending index, once a majority exists; None before."""
         t = self.params.threshold
-        stored = self.votes.get(request_id, {}).values()
+        stored = [vote for index, vote in self.votes.get(request_id, {}).items()
+                  if (request_id, index) not in self.unchecked]
         tally = Counter(vote.block_hash for vote in stored)
         winner = next((h for h, count in tally.items() if count >= t), None)
         if winner is None:
@@ -126,6 +146,7 @@ class OracleNode:
                        key=lambda v: v.validator_index)[:t]
         public, witness = circuits.build_aggregation_witness(
             self.local_tree, self.index, votes, request_id, winner)
+        self.answered[request_id] = winner
         return public, self.backend.prove(AGGREGATION, public, witness)
 
     def build_slashes(self, request_id: int, answer_hash: int):

@@ -188,6 +188,33 @@ def ref_assert_distinct(cs, values, site):
                 cs.assert_ne(values[i], values[j], f"{site}[{i},{j}]")
 
 
+# -- reference Merkle gadgets -------------------------------------------------------
+# The full folds circuits._membership and _updated_root replaced: every running
+# root is hashed to the top as soon as it exists.  check_aggregation and
+# check_slash must report the same ok, count and failure_site with either, or
+# raise the same error.
+
+
+def ref_fold(cs, leaf, path, bits):
+    h = leaf
+    for sibling, bit in zip(path, bits, strict=True):
+        h = cs.mimc([sibling, h]) if bit else cs.mimc([h, sibling])
+    return h
+
+
+def ref_membership(cs, root, account, proof, depth, site):
+    bits = cs.decompose(account.index, depth, f"{site}.index-bits")
+    leaf = cs.mimc([account.index, account.pubkey.x, account.pubkey.y, account.balance])
+    cs.assert_eq(leaf, proof.leaf, f"{site}.leaf")
+    cs.assert_eq(ref_fold(cs, leaf, proof.path, bits), root, f"{site}.membership")
+    return bits
+
+
+def ref_updated_root(cs, account, new_balance, proof, bits):
+    new_leaf = cs.mimc([account.index, account.pubkey.x, account.pubkey.y, new_balance])
+    return ref_fold(cs, new_leaf, proof.path, bits)
+
+
 # -- reference account tree ---------------------------------------------------------
 # The eager form the lazy StateTree replaced: every write rehashes its whole path
 # at once.  root and prove must equal StateTree's after any sequence of writes.

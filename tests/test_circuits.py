@@ -7,8 +7,9 @@ from dataclasses import replace
 import pytest
 
 from helpers import (ORDER_8, build_committee, honest_votes, hostile_payloads,
-                     random_occupied_tree, ref_assert_distinct, ref_verify_sig)
-from zkoracle import circuits, curve, eddsa
+                     random_occupied_tree, ref_assert_distinct, ref_membership,
+                     ref_updated_root, ref_verify_sig)
+from zkoracle import circuits, curve, eddsa, merkle, mimc, selfcheck
 from zkoracle.circuits import (AGGREGATION, SLASH, AggregationPublic,
                                AggregationWitness, ConstraintMeter, VoteWitness,
                                aggregation_witness_from_obj,
@@ -18,7 +19,7 @@ from zkoracle.circuits import (AGGREGATION, SLASH, AggregationPublic,
                                slash_witness_from_obj, threshold, verify)
 from zkoracle.errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
 from zkoracle.field import P
-from zkoracle.merkle import Account
+from zkoracle.merkle import MAX_LOG_DEPTH, Account
 from zkoracle.nodes import Vote, make_vote, vote_message
 
 AGG_REWARD = 50
@@ -532,6 +533,33 @@ def test_verify_rejects_hostile_payloads_without_raising():
             assert verify("transparent", circuit, pub, bad) is False, payload[:40]
 
 
+def test_verify_refuses_oversize_payloads_unread(monkeypatch):
+    tree, keys, _, public, witness = honest_instance()
+    proof = prove("transparent", AGGREGATION, public, witness)
+    s_public, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888),
+                                              5, 777)
+    s_proof = prove("transparent", SLASH, s_public, s_witness)
+
+    def pad_to(p, size):
+        return replace(p, payload=p.payload + b" " * (size - len(p.payload)))
+
+    # an aggregation's depth follows from its vote count, 3 = 2^(2-1) + 1; a
+    # slash is bounded at the deepest tree
+    for circuit, pub, good, bound in (
+            (AGGREGATION, public, proof, circuits.max_payload_size(AGGREGATION, 2)),
+            (SLASH, s_public, s_proof, circuits.max_payload_size(SLASH, MAX_LOG_DEPTH))):
+        assert verify("transparent", circuit, pub, pad_to(good, bound))
+        loads = []
+        monkeypatch.setattr(circuits.json, "loads", lambda raw: loads.append(raw))
+        assert not verify("transparent", circuit, pub, pad_to(good, bound + 1))
+        assert loads == []
+        monkeypatch.undo()
+    # vote counts no depth in [1, MAX_LOG_DEPTH] has, and bits of other types
+    for bits in (0, 0b1, 0b1111, (1 << (1 << MAX_LOG_DEPTH) + 1) - 1, "0b111", None, 7.0):
+        assert not verify("transparent", AGGREGATION, replace(public, validator_bits=bits),
+                          proof)
+
+
 def test_witness_serialization_roundtrip():
     _, _, _, public, witness = honest_instance()
     obj = aggregation_witness_to_obj(witness)
@@ -565,6 +593,23 @@ def _mutate_record(obj, rng):
         record.append(rng.choice(record) if record else "0")
 
 
+def _fuzzed_payloads(payload, rng):
+    """150 seeded mutants of a payload: seven in ten edit one decoded value,
+    the others overwrite one byte and cut the payload at or after it."""
+    mutants = []
+    for _ in range(150):
+        if rng.random() < 0.7:
+            obj = json.loads(payload)
+            _mutate_record(obj, rng)
+            mutants.append(json.dumps(obj).encode())
+        else:
+            data = bytearray(payload)
+            k = rng.randrange(len(data))
+            data[k] = rng.randrange(256)
+            mutants.append(bytes(data[:rng.randrange(k, len(data)) + 1]))
+    return mutants
+
+
 def test_fuzzed_payloads_verify_false_or_decode_to_the_witness():
     # every mutant of a real payload either verifies False without raising or
     # decodes to the very witness the prover encoded
@@ -574,16 +619,7 @@ def test_fuzzed_payloads_verify_false_or_decode_to_the_witness():
     rng = random.Random(2409)
     for circuit, pub, wit in ((AGGREGATION, public, witness), (SLASH, s_public, s_witness)):
         good = prove("transparent", circuit, pub, wit)
-        for _ in range(150):
-            if rng.random() < 0.7:
-                obj = json.loads(good.payload)
-                _mutate_record(obj, rng)
-                payload = json.dumps(obj).encode()
-            else:
-                data = bytearray(good.payload)
-                k = rng.randrange(len(data))
-                data[k] = rng.randrange(256)
-                payload = bytes(data[:rng.randrange(k, len(data)) + 1])
+        for payload in _fuzzed_payloads(good.payload, rng):
             if verify("transparent", circuit, pub, replace(good, payload=payload)):
                 decode = (aggregation_witness_from_obj if circuit == AGGREGATION
                           else slash_witness_from_obj)
@@ -620,6 +656,29 @@ def test_slash_proof_roundtrip():
     assert not verify("transparent", SLASH, replace(public, val_index=1), proof)
 
 
+def test_full_committee_build_hashes_each_changed_node_once(monkeypatch):
+    tree, keys = build_committee(8)
+    votes = honest_votes(keys, range(threshold(8)), 5, 777)
+    tree.root
+    calls = []
+    real = merkle.mimc_hash
+    monkeypatch.setattr(merkle, "mimc_hash", lambda xs: calls.append(1) or real(xs))
+    public, witness = build_aggregation_witness(tree, 0, votes, 5, 777)
+    # The build writes leaves 0 (the aggregator, then vote 0) to 128.  Their
+    # stale ancestors are leaves 0..128 and, a level up each time, 65, 33, 17,
+    # 9, 5, 3, 2 and 1 nodes: 129 + 135.  Each is hashed once, when a later
+    # proof reads it as a sibling or the post root is read; only leaf 0 is
+    # hashed twice, as vote 0's proof reads it between its two writes.  The
+    # full-path rehash hashed 1179 times here.
+    assert len(calls) <= 129 + 135 + 1
+    monkeypatch.undo()
+    # verifying the proof right away hashes only what the build hashed
+    proof = prove("transparent", AGGREGATION, public, witness)
+    misses = mimc.permute.cache_info().misses
+    assert verify("transparent", AGGREGATION, public, proof)
+    assert mimc.permute.cache_info().misses == misses
+
+
 # -- state-transition equivalence over random instances ---------------------------
 
 
@@ -640,3 +699,127 @@ def test_random_instances_match_shadow_tree():
         report = check_aggregation(public, witness)
         assert report.ok, report.failure_site
         assert public.post_state_root == shadow_apply_aggregation(tree, agg_index, voters)
+
+
+# -- lazy root folds against the full-fold reference --------------------------------
+
+
+def _member(witness, k):
+    """(account, proof) of member k: 0 is the aggregator, k > 0 vote k - 1
+    or the victim."""
+    if k == 0:
+        return witness.aggregator_account, witness.aggregator_proof
+    vote = witness.votes[k - 1] if isinstance(witness, AggregationWitness) else witness.victim
+    return vote.account, vote.merkle_proof
+
+
+def _with_member(witness, k, account, proof):
+    if k == 0:
+        return replace(witness, aggregator_account=account, aggregator_proof=proof)
+    if not isinstance(witness, AggregationWitness):
+        return replace(witness, victim=replace(witness.victim, account=account,
+                                               merkle_proof=proof))
+    votes = list(witness.votes)
+    votes[k - 1] = replace(votes[k - 1], account=account, merkle_proof=proof)
+    return replace(witness, votes=tuple(votes))
+
+
+def _in_memory_mutants(rng, public, witness):
+    """Witnesses no decoder would produce, each edited in one place: a
+    sibling plus P or replaced at random, a balance plus P, a path one
+    sibling short or long, the post root plus 1 or plus P, and, for an
+    aggregation, two votes swapped or one duplicated."""
+    members = 1 + (len(witness.votes) if isinstance(witness, AggregationWitness) else 1)
+
+    def edit_path(change):
+        k = rng.randrange(members)
+        account, proof = _member(witness, k)
+        return _with_member(witness, k, account, replace(proof, path=change(list(proof.path))))
+
+    def at_random_level(value):
+        def change(path):
+            level = rng.randrange(len(path))
+            path[level] = value(path[level])
+            return tuple(path)
+        return change
+
+    k = rng.randrange(members)
+    account, proof = _member(witness, k)
+    mutants = [(public, witness),
+               (public, edit_path(at_random_level(lambda s: s + P))),
+               (public, edit_path(at_random_level(lambda s: rng.randrange(P)))),
+               (public, _with_member(witness, k, replace(account, balance=account.balance + P),
+                                     proof)),
+               (public, edit_path(lambda path: tuple(path[:-1]))),
+               (public, edit_path(lambda path: (*path, rng.randrange(P)))),
+               (replace(public, post_state_root=public.post_state_root + 1), witness),
+               (replace(public, post_state_root=public.post_state_root + P), witness)]
+    if isinstance(witness, AggregationWitness):
+        votes = list(witness.votes)
+        i, j = sorted(rng.sample(range(len(votes)), 2))
+        swapped = votes[:i] + [votes[j]] + votes[i + 1:j] + [votes[i]] + votes[j + 1:]
+        duplicated = votes[:j] + [votes[i]] + votes[j + 1:]
+        mutants += [(public, replace(witness, votes=tuple(swapped))),
+                    (public, replace(witness, votes=tuple(duplicated)))]
+    return mutants
+
+
+def _outcome(check, public, witness):
+    try:
+        return check(public, witness)
+    except (ValueError, WrongVoteCount) as exc:
+        return type(exc)
+
+
+def test_lazy_root_folds_match_full_folds(monkeypatch):
+    # hashing each running root only as far as the decision needs reports
+    # exactly what hashing it to the top did: over the hostile and fuzzed
+    # payloads that decode, criterion 1's exhaustive packagings and seeded
+    # in-memory mutants of random instances
+    cases = []
+    tree, keys, _, public, witness = honest_instance()
+    s_public, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888),
+                                              5, 777)
+    fuzz = random.Random(2409)
+    for circuit, pub, wit, check, decode in (
+            (AGGREGATION, public, witness, check_aggregation, aggregation_witness_from_obj),
+            (SLASH, s_public, s_witness, check_slash, slash_witness_from_obj)):
+        good = prove("transparent", circuit, pub, wit).payload
+        for payload in hostile_payloads(good) + _fuzzed_payloads(good, fuzz):
+            try:
+                cases.append((check, pub, decode(json.loads(payload))))
+            except (KeyError, ValueError, TypeError, RecursionError):
+                pass
+
+    def record(public, witness):
+        cases.append((check_aggregation, public, witness))
+        return check_aggregation(public, witness)
+    monkeypatch.setattr(selfcheck, "check_aggregation", record)
+    assert selfcheck.aggregation_brute_force() == []
+    monkeypatch.undo()
+
+    rng = random.Random(1808)
+    pool = [eddsa.keygen(rng.getrandbits(256).to_bytes(32, "big")) for _ in range(16)]
+    for _ in range(20):
+        depth = rng.choice((2, 3, 4))
+        tree, occupied = random_occupied_tree(rng, depth, pool, min_occupied=threshold(depth))
+        agg_index = rng.choice(occupied)
+        voters = sorted(rng.sample(occupied, threshold(depth)))
+        votes = [make_vote(pool[i].sk, i, 3, 777) for i in voters]
+        cases += [(check_aggregation, *mutant) for mutant in _in_memory_mutants(
+            rng, *build_aggregation_witness(tree, agg_index, votes, 3, 777))]
+        victim = rng.choice([i for i in occupied if i != agg_index])
+        cases += [(check_slash, *mutant) for mutant in _in_memory_mutants(
+            rng, *build_slash_witness(tree, agg_index, make_vote(pool[victim].sk, victim, 3, 888),
+                                      3, 777))]
+
+    lazy = [_outcome(*case) for case in cases]
+    monkeypatch.setattr(circuits, "_membership", ref_membership)
+    monkeypatch.setattr(circuits, "_updated_root", ref_updated_root)
+    monkeypatch.setattr(circuits, "_root_hash", lambda root: root)  # already a hash
+    assert lazy == [_outcome(*case) for case in cases]
+    assert len(cases) >= 600
+    # the cases accept, fail at both root checks and raise both errors
+    sites = {outcome if type(outcome) is type else (outcome.failure_site or "").split(".")[-1]
+             for outcome in lazy}
+    assert {"", "membership", "post-state-root", ValueError, WrongVoteCount} <= sites

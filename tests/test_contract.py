@@ -605,9 +605,9 @@ def test_hostile_proof_payloads_raise_invalid_proof():
 
 
 def test_oversize_payloads_refused_before_verification(monkeypatch):
-    """Trailing spaces keep a payload's JSON, so 5 MB of them verify True in
-    the backend; the contract refuses any payload longer than an honest one
-    at its depth before the backend parses it."""
+    """Trailing spaces keep a payload's JSON; the backend refuses 5 MB of
+    them unread, and the contract refuses any payload longer than an honest
+    one at its depth before the backend sees it."""
     contract = Contract(P4)
     keys = fresh_keys(4)
     register_all(contract, keys)
@@ -617,7 +617,7 @@ def test_oversize_payloads_refused_before_verification(monkeypatch):
         contract.tree_snapshot(), 0, votes, 0, 777)
     proof = prove("transparent", AGGREGATION, public, witness)
     padded = replace(proof, payload=proof.payload + b" " * 5_000_000)
-    assert circuits.verify("transparent", AGGREGATION, public, padded)
+    assert not circuits.verify("transparent", AGGREGATION, public, padded)
 
     def pad_to(p, size):
         return replace(p, payload=p.payload + b" " * (size - len(p.payload)))

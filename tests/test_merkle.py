@@ -68,7 +68,7 @@ def test_largest_tree():
     assert dup.root != root
     assert tree.root == root
     assert tree.account(last).is_empty()
-    assert tree.occupied_indices() == []
+    assert all(account is None for account in tree.accounts)
 
     text = f"0 {kp.pk.x} {kp.pk.y} 1\n{last} {kp.pk.x} {kp.pk.y} 2\n"
     loaded = load_snapshot(text, depth=depth)
@@ -320,6 +320,17 @@ def test_rehash_hashes_each_dirty_node_once(monkeypatch):
     tree.set_account(3, Account(3, kp.pk, 2))
     tree.copy()
     assert len(calls) == 1 + 8  # the leaf once, then its eight ancestors
+
+
+def test_proof_between_writes_hashes_only_its_stale_siblings(monkeypatch):
+    tree, keys = build_committee(8)
+    tree.root
+    calls = _counting_hashes(monkeypatch)
+    tree.set_account(0, Account(0, keys[0].pk, 1))
+    tree.prove(1)
+    assert len(calls) == 1  # leaf 0, its only stale sibling; no root above it
+    tree.root
+    assert len(calls) == 1 + 8  # then the eight stale ancestors of leaf 0
 
 
 def test_rejected_write_leaves_no_dirty_mark(monkeypatch):

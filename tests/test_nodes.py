@@ -331,6 +331,72 @@ def test_zero_vote_is_slashable_dissent():
     assert [public.val_index for public, _ in slashes] == [3]
 
 
+# -- votes after the answer ------------------------------------------------------------------
+
+
+def answered_committee(voters=(1, 2, 3)):
+    """A depth-2 committee whose aggregator, node 0, has answered request 0
+    with hash 99 from the checked votes of the voters."""
+    contract, nodes = committee_with_contract()
+    agg = nodes[0]
+    contract.request_block("client", 10, contract.params.request_fee)
+    for i in voters:
+        assert agg.on_vote(make_vote(nodes[i].keypair.sk, i, 0, 99)) == (True, None)
+    public, proof = agg.try_submit(0)
+    contract.submit_block(agg.name, 0, 99, public.validator_bits, public.post_state_root,
+                          proof)
+    return contract, nodes, agg
+
+
+def test_forged_late_vote_cannot_shield_a_dissenter(monkeypatch):
+    contract, nodes, agg = answered_committee(voters=(0, 1, 2))
+    # a vote for the answer in validator 3's name, signed with another key
+    forged = make_vote(nodes[2].keypair.sk, 3, 0, 99)
+    checks = []
+    real = eddsa.verify_sig
+    monkeypatch.setattr(eddsa, "verify_sig", lambda *a: checks.append(1) or real(*a))
+    assert agg.on_vote(forged) == (True, None)
+    assert checks == []  # stored unchecked
+    # validator 3's genuine dissent finds the forgery in its slot, checks it
+    # and takes the slot
+    dissent = make_vote(nodes[3].keypair.sk, 3, 0, 55)
+    assert agg.on_vote(dissent) == (True, None)
+    assert len(checks) == 2
+    assert agg.votes[0][3] == dissent
+    agg.sync(contract.events)
+    slashes = agg.build_slashes(0, 99)
+    assert [s_public.val_index for s_public, _ in slashes] == [3]
+    s_public, s_proof = slashes[0]
+    contract.slash(agg.name, 0, 3, s_public.post_state_root, s_proof)
+    assert contract.account(3).balance == 0
+
+
+def test_copy_of_a_valid_unchecked_vote_is_a_duplicate():
+    contract, nodes, agg = answered_committee()
+    late = make_vote(nodes[0].keypair.sk, 0, 0, 99)
+    assert agg.on_vote(late) == (True, None)
+    assert agg.on_vote(late) == (False, "duplicate-vote")
+    assert agg.on_vote(make_vote(nodes[0].keypair.sk, 0, 0, 55)) == (False, "duplicate-vote")
+    assert agg.votes[0][0] == late
+
+
+def test_unchecked_votes_are_never_packaged():
+    contract, nodes, agg = answered_committee()
+    # validator 0's vote is valid and has the lowest index, but arrived late
+    assert agg.on_vote(make_vote(nodes[0].keypair.sk, 0, 0, 99)) == (True, None)
+    public, proof = agg.try_submit(0)
+    assert public.validator_bits == 0b1110
+
+
+def test_honest_committee_checks_only_the_votes_it_packages(monkeypatch):
+    checks = []
+    real = eddsa.verify_sig
+    monkeypatch.setattr(eddsa, "verify_sig", lambda *a: checks.append(1) or real(*a))
+    run = run_scenario(ScenarioConfig(depth=4, committee=16, rounds=2, seed=5))
+    assert [r.votes_received for r in run.metrics.rows] == [16, 16]
+    assert len(checks) == 2 * 9  # t = 9 of the 16 votes per request
+
+
 # -- sync -------------------------------------------------------------------------------------
 
 
