@@ -12,7 +12,7 @@ from .field import P
 from .merkle import (Account, MerkleProof, StateTree, empty_account, leaf_hash,
                      root_from_path, verify_proof)
 from .mimc import mimc_hash
-from .nodes import OracleNode, Vote, check_finality, make_vote
+from .nodes import OracleNode, Vote, make_vote
 from .simnet import (Metrics, MockChain, ScenarioConfig, ScenarioRun, run_scenario,
                      verify_run)
 

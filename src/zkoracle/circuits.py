@@ -27,9 +27,11 @@ The one proof backend is transparent: the proof is the serialized witness
 and verification re-executes the circuit against the claimed public inputs.
 That is complete and sound by construction but explicitly not zero-knowledge;
 a SNARK backend would sit behind the same `prove` / `verify` interface, which
-names the backend in every call.  Because a transparent proof publishes its
-witness, no witness holds a secret: only accounts, Merkle paths and the
-votes, each with the signature its validator already sent over the wire.
+names the backend in every call.  The contract and the nodes reach it only
+through those two functions, with the id `TRANSPARENT`.  Because a
+transparent proof publishes its witness, no witness holds a secret: only
+accounts, Merkle paths and the votes, each with the signature its validator
+already sent over the wire.
 """
 
 import json
@@ -551,6 +553,7 @@ def slash_witness_from_obj(obj) -> SlashWitness:
 
 AGGREGATION = "aggregation"
 SLASH = "slash"
+TRANSPARENT = "transparent"  # the one backend's id
 
 
 def _payload(circuit_id: str, witness) -> bytes:
@@ -570,7 +573,7 @@ class TransparentBackend:
     bound to the claimed public inputs by re-execution.  Not zero-knowledge.
     """
 
-    backend_id = "transparent"
+    backend_id = TRANSPARENT
 
     def prove(self, circuit_id: str, public, witness) -> Proof:
         return Proof(self.backend_id, circuit_id, _payload(circuit_id, witness))
@@ -653,7 +656,7 @@ def constraint_count(circuit_id: str, depth: int) -> int:
 def _backend(backend_id: str, circuit_id: str) -> TransparentBackend:
     if circuit_id not in (AGGREGATION, SLASH):
         raise UnknownBackend(f"unknown circuit: {circuit_id}")
-    if backend_id != TransparentBackend.backend_id:
+    if backend_id != TRANSPARENT:
         raise UnknownBackend(f"unknown backend: {backend_id}")
     return _TRANSPARENT
 

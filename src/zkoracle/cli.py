@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import circuits, eddsa
-from .circuits import AGGREGATION, SLASH, check_aggregation, check_slash
+from .circuits import AGGREGATION, SLASH, TRANSPARENT, check_aggregation, check_slash
 from .contract import Params, conservation_trace, dump_log, parse_log, replay
 from .errors import ConfigError, CorruptLog, OracleError
 from .merkle import Account, StateTree, dump_snapshot, load_snapshot
@@ -80,14 +80,14 @@ def scaling_row(size: int) -> dict:
     public, witness = circuits.build_aggregation_witness(tree, 0, votes, request_id,
                                                          block_hash)
     agg_report = check_aggregation(public, witness)
-    agg_proof = circuits.prove("transparent", AGGREGATION, public, witness)
+    agg_proof = circuits.prove(TRANSPARENT, AGGREGATION, public, witness)
 
     dissent = make_vote(keys[size - 1].sk, size - 1, request_id,
                         block_hash + 1)
     s_public, s_witness = circuits.build_slash_witness(tree, 0, dissent, request_id,
                                                        block_hash)
     slash_report = check_slash(s_public, s_witness)
-    slash_proof = circuits.prove("transparent", SLASH, s_public, s_witness)
+    slash_proof = circuits.prove(TRANSPARENT, SLASH, s_public, s_witness)
 
     if not agg_report.ok or not slash_report.ok:
         raise OracleError(f"scaling instance at size {size} did not satisfy "

@@ -2,8 +2,14 @@
 
 The contract is event-sourced: a transaction validates its input and hands
 the event recording it to the one reducer, `Contract._apply`, and replay
-feeds logged events to the same reducer.  The tree part of every event is
-`apply_event_to_tree`, which off-chain nodes also sync with.
+feeds logged events to the same reducer.  Before that, `_emit` refuses any
+payload value that the log could not write and read back as its field's
+type, so every event the contract emits parses back.  The tree part of every
+event is `apply_event_to_tree`, which off-chain nodes also sync with.
+
+Proofs are checked by `circuits.verify` under the one backend id,
+`circuits.TRANSPARENT`, never the id a proof names, so a proof for another
+backend or circuit is an `InvalidProof`.
 
 The contract keeps a private hash tree (as the real contract does for the
 membership operations) but external state changes arriving via submit/slash
@@ -19,8 +25,8 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 from . import circuits, curve
-from .circuits import (AGG_REWARD, AGGREGATION, SLASH, VAL_REWARD, AggregationPublic,
-                       Proof, SlashPublic, TransparentBackend)
+from .circuits import (AGG_REWARD, AGGREGATION, SLASH, TRANSPARENT, VAL_REWARD,
+                       AggregationPublic, Proof, SlashPublic)
 from .curve import Point
 from .errors import (AlreadyExiting, AlreadySlashed, CommitteeFull, CorruptLog,
                      ExitTimeNotReached, FeeTooLow, InsufficientStake, InvalidInput,
@@ -104,7 +110,6 @@ EVENT_KINDS = (REGISTERED, REPLACED, EXITED, WITHDRAWN, BLOCK_REQUESTED,
 class Contract:
     def __init__(self, params: Params = Params()):
         self.params = params
-        self.backend = TransparentBackend()
         self._tree = StateTree(params.depth)
         self.owner_of = {}
         self.ip_of = {}
@@ -150,14 +155,15 @@ class Contract:
     # -- time -----------------------------------------------------------
 
     def set_time(self, t: float) -> None:
+        if not _reads_back(float, t):
+            raise InvalidInput(f"time {t!r} is not a finite number")
         if t < self.now:
             raise InvalidInput("time cannot move backwards")
-        self.now = t
+        self.now = float(t)  # the type the log reads an event's time back as
 
     # -- membership transactions -----------------------------------------
 
     def register(self, caller: str, pubkey: Point, ip: str, stake: int) -> int:
-        _check_log_tokens(owner=caller, ip=ip)
         if stake < self.params.min_stake:
             raise InsufficientStake(f"stake {stake} below minimum {self.params.min_stake}")
         index = self._lowest_empty_index()
@@ -169,7 +175,6 @@ class Contract:
 
     def replace(self, caller: str, pubkey: Point, ip: str, stake: int,
                 target_index: int, target_account: Account, proof: MerkleProof) -> int:
-        _check_log_tokens(owner=caller, ip=ip)
         self._check_account_proof(target_index, target_account, proof)
         if stake <= target_account.balance:
             raise StakeTooLow(f"stake {stake} must exceed target balance "
@@ -207,7 +212,6 @@ class Contract:
     # -- request lifecycle -------------------------------------------------
 
     def request_block(self, client: str, block_number: int, fee: int) -> int:
-        _check_log_tokens(client=client)
         if fee < self.params.request_fee:
             raise FeeTooLow(f"fee {fee} below required {self.params.request_fee}")
         request_id = self.next_request_id
@@ -228,7 +232,7 @@ class Contract:
 
         public = AggregationPublic(self.state_root, post_state_root, block_hash,
                                    request_id, validator_bits)
-        if not self.backend.verify(AGGREGATION, public, proof):
+        if not circuits.verify(TRANSPARENT, AGGREGATION, public, proof):
             raise InvalidProof("aggregation proof rejected")
 
         self._emit(BLOCK_SUBMITTED, request_id=request_id, agg_index=agg_index,
@@ -246,7 +250,7 @@ class Contract:
         self._check_payload_size(SLASH, proof)
         public = SlashPublic(self.state_root, post_state_root, request.answer_hash,
                              request_id, request.agg_index, val_index)
-        if not self.backend.verify(SLASH, public, proof):
+        if not circuits.verify(TRANSPARENT, SLASH, public, proof):
             raise InvalidProof("slash proof rejected")
         self._emit(SLASHED, request_id=request_id, agg_index=request.agg_index,
                    val_index=val_index, post_state_root=post_state_root)
@@ -358,6 +362,13 @@ class Contract:
     # -- internals ---------------------------------------------------------
 
     def _emit(self, kind: str, **payload) -> None:
+        """Hand the reducer an event that the log writes and reads back: every
+        payload value must be of the type LOG_FIELDS gives its field."""
+        for key, field_type in LOG_FIELDS[kind].items():
+            if not _reads_back(field_type, payload[key]):
+                # no value in the message: a too-long int cannot be printed
+                raise InvalidInput(f"{kind} {key} ({type(payload[key]).__name__}) would "
+                                   f"not read back from the log as {field_type.__name__}")
         self._apply(Event(len(self.events), self.now, kind, payload))
 
     def _pending(self, request_id: int) -> Request:
@@ -390,14 +401,6 @@ class Contract:
                 or not verify_proof(self.state_root, proof)):
             raise InvalidProof(f"account proof for index {index} does not match "
                                "the current state root")
-
-
-def _check_log_tokens(**values) -> None:
-    """Strings are logged as bare key=value tokens, so one must not contain
-    whitespace (the field and line separators) or '='."""
-    for name, value in values.items():
-        if not isinstance(value, str) or "=" in value or any(c.isspace() for c in value):
-            raise InvalidInput(f"{name} {value!r} cannot be written to the event log")
 
 
 # -- shared tree updates (contract reducer, node sync, slash building) ---------
@@ -526,6 +529,19 @@ def _finite_float(raw: str) -> float:
 
 
 _DECODERS = {int: int, float: _finite_float, str: str}
+
+
+def _reads_back(field_type: type, value) -> bool:
+    """Whether the log writes the value as one bare token, free of
+    whitespace (the field and line separators) and '=', that the field's
+    decoder reads back as an equal value.  So an int field takes only an int,
+    a float field a finite int or float, and a str field a string."""
+    try:
+        text = str(value)  # ValueError: an int too long to write
+        return not any(c.isspace() or c == "=" for c in text) \
+            and _DECODERS[field_type](text) == value
+    except ValueError:
+        return False
 
 
 def dump_events(events) -> str:

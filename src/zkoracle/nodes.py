@@ -4,10 +4,13 @@ Every node is a single-threaded event processor over immutable messages; its
 account tree is mutated only by its own sync loop, replaying the contract's
 event log.  Votes are immutable values; the aggregator keeps the first
 accepted vote per validator and request, packages votes in ascending validator
-index, and hands over each witness builder's public inputs with their proof,
-so independent nodes produce bit-identical submissions from the same log and
-chain view.  After it has submitted, it stores votes for its answer without
-checking their signatures, and never packages them.
+index, and hands over each witness builder's public inputs with the proof
+`circuits.prove` makes of them, so independent nodes produce bit-identical
+submissions from the same log and chain view.  After it has submitted, it
+stores votes for its answer without checking their signatures, and never
+packages them.  A request's votes are one map from validator index to
+(vote, checked), which the node drops with the request's answer once it has
+built the request's slashes.
 """
 
 from collections import Counter
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import circuits, eddsa
-from .circuits import AGGREGATION, SLASH, vote_message_inputs
+from .circuits import AGGREGATION, SLASH, TRANSPARENT, vote_message_inputs
 from .contract import Params, apply_event_to_tree, apply_slash_transfer
 from .errors import CorruptLog, OracleError
 from .eddsa import Signature
@@ -52,25 +55,18 @@ def signed_by(pubkey, vote: Vote) -> bool:
         return False
 
 
-def check_finality(chain, block_number: int, threshold: int) -> bool:
-    """Final iff the canonical branch reaches `threshold` blocks past it."""
-    if chain.tip - block_number < threshold:
-        return False
-    return chain.block_at(block_number) is not None
-
-
 class OracleNode:
     def __init__(self, name: str, keypair: eddsa.KeyPair, params: Params):
         self.name = name
         self.keypair = keypair
         self.params = params
-        self.backend = circuits.TransparentBackend()
         self.index: Optional[int] = None  # assigned when registered on-chain
         self.local_tree = StateTree(params.depth)
         self.last_seq = 0
-        self.votes = {}  # request_id -> {validator_index: first accepted vote}
+        # request_id -> {validator_index: (first accepted vote, whether its
+        # signature was checked)}; build_slashes drops the request
+        self.votes = {}
         self.answered = {}  # request_id -> the block hash this node submitted
-        self.unchecked = set()  # (request_id, validator_index) of unverified votes
 
     # -- state sync -------------------------------------------------------
 
@@ -88,11 +84,12 @@ class OracleNode:
     def answer(self, block_number: int, chain) -> int:
         """The block hash this node answers a request for block_number with,
         from the synced chain view; 0 means 'absent or not final', which is a
-        definitive answer, unlike an unreachable chain.  Signing it is the
-        caller's step, so an answer that never goes on the wire costs no
-        signature."""
+        definitive answer, unlike an unreachable chain.  A block is final once
+        the canonical branch reaches FINALITY blocks past it.  Signing the
+        answer is the caller's step, so an answer that never goes on the wire
+        costs no signature."""
         block = chain.block_at(block_number)
-        if block is None or not check_finality(chain, block_number, FINALITY):
+        if block is None or chain.tip - block_number < FINALITY:
             return 0
         return block.hash % P
 
@@ -101,13 +98,15 @@ class OracleNode:
     def on_vote(self, vote: Vote):
         """Store the vote iff it names a block hash in [0, P), is the first from
         its validator for the request and is authenticated by the key
-        registered at its index.  Returns (accepted, reason).
+        registered at its index.  Returns (accepted, reason).  The vote is
+        stored as (vote, checked) in `votes[vote.request_id]`.
 
         Once this node has submitted an answer, a vote for that answer can be
         neither packaged nor slashed, so it is stored with its signature
         unchecked.  Such a vote holds its validator's slot only until a second
-        vote from that validator arrives: the stored one is checked then, and
-        if it fails, the new vote takes the slot, as if it had come first."""
+        vote from that validator arrives: the stored one is checked then and
+        marked so if it passes; if it fails, the new vote takes the slot, as
+        if it had come first."""
         if not 0 <= vote.validator_index < self.params.capacity:
             return False, "index-out-of-range"
         if not 0 <= vote.block_hash < P:
@@ -115,29 +114,25 @@ class OracleNode:
         account = self.local_tree.account(vote.validator_index)
         if account.is_empty():
             return False, "unregistered-validator"
-        slot = (vote.request_id, vote.validator_index)
         stored = self.votes.get(vote.request_id, {})
-        first = stored.get(vote.validator_index)
-        if first is not None:
-            if slot not in self.unchecked:
-                return False, "duplicate-vote"
-            self.unchecked.discard(slot)
-            if signed_by(account.pubkey, first):
+        if vote.validator_index in stored:
+            first, checked = stored[vote.validator_index]
+            if checked or signed_by(account.pubkey, first):
+                stored[vote.validator_index] = (first, True)
                 return False, "duplicate-vote"
             del stored[vote.validator_index]
-        if self.answered.get(vote.request_id) == vote.block_hash:
-            self.unchecked.add(slot)
-        elif not signed_by(account.pubkey, vote):
+        checked = self.answered.get(vote.request_id) != vote.block_hash
+        if checked and not signed_by(account.pubkey, vote):
             return False, "invalid-signature"
-        self.votes.setdefault(vote.request_id, {})[vote.validator_index] = vote
+        self.votes.setdefault(vote.request_id, {})[vote.validator_index] = (vote, checked)
         return True, None
 
     def try_submit(self, request_id: int):
         """(AggregationPublic, Proof) for the first t same-hash checked votes,
         ascending index, once a majority exists; None before."""
         t = self.params.threshold
-        stored = [vote for index, vote in self.votes.get(request_id, {}).items()
-                  if (request_id, index) not in self.unchecked]
+        stored = [vote for vote, checked in self.votes.get(request_id, {}).values()
+                  if checked]
         tally = Counter(vote.block_hash for vote in stored)
         winner = next((h for h, count in tally.items() if count >= t), None)
         if winner is None:
@@ -147,22 +142,23 @@ class OracleNode:
         public, witness = circuits.build_aggregation_witness(
             self.local_tree, self.index, votes, request_id, winner)
         self.answered[request_id] = winner
-        return public, self.backend.prove(AGGREGATION, public, witness)
+        return public, circuits.prove(TRANSPARENT, AGGREGATION, public, witness)
 
     def build_slashes(self, request_id: int, answer_hash: int):
         """(SlashPublic, Proof) for every provably dissenting vote, ascending
-        victim index; each pre-root is the previous post-root."""
+        victim index; each pre-root is the previous post-root.  The last read
+        of the request's votes, so it drops them and the request's answer."""
         slashes = []
         work = self.local_tree.copy()
-        stored = self.votes.get(request_id, {})
-        for index in sorted(stored):
-            vote = stored[index]
+        stored = self.votes.pop(request_id, {})
+        self.answered.pop(request_id, None)
+        for index, (vote, _) in sorted(stored.items()):
             if vote.block_hash == answer_hash or index == self.index:
                 continue
             if not signed_by(work.account(index).pubkey, vote):
                 continue  # an unauthenticated vote cannot be proven in-circuit
             public, witness = circuits.build_slash_witness(
                 work, self.index, vote, request_id, answer_hash)
-            slashes.append((public, self.backend.prove(SLASH, public, witness)))
+            slashes.append((public, circuits.prove(TRANSPARENT, SLASH, public, witness)))
             apply_slash_transfer(work, self.index, index)
         return slashes

@@ -356,6 +356,7 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
             break
         contract.set_time(deadline)
         contract.timeout_aggregator()
+        aggregator.votes.pop(request_id, None)  # it never answers this request
     else:
         return RoundRecord(round_index, request_id, block_number), deadline
 

@@ -221,11 +221,14 @@ def test_params_constants_are_not_settings():
     with pytest.raises(TypeError):
         circuits.TransparentBackend(60, 10)
     assert [f.name for f in fields(Params)] == ["depth"]
-    # proofs are checked and made by the one transparent backend
+    # proofs are checked and made by the one transparent backend, reached
+    # only through circuits.prove / verify
     with pytest.raises(TypeError):
         Contract(P4, backend=circuits.TransparentBackend())
     with pytest.raises(TypeError):
         OracleNode("n", fresh_keys(1)[0], P4, backend=circuits.TransparentBackend())
+    assert not hasattr(Contract(P4), "backend")
+    assert not hasattr(OracleNode("n", fresh_keys(1)[0], P4), "backend")
 
 
 def test_request_replay_reconstructs_table():
@@ -604,6 +607,36 @@ def test_hostile_proof_payloads_raise_invalid_proof():
     assert contract.account(3).balance == 0
 
 
+def test_proof_for_another_backend_or_circuit_is_invalid():
+    """The contract verifies under its own backend id, not the one a proof
+    names, so a relabelled proof is InvalidProof, not UnknownBackend."""
+    contract = Contract(P4)
+    keys = fresh_keys(4)
+    register_all(contract, keys)
+    contract.request_block("client", 10, contract.params.request_fee)
+    votes = honest_votes(keys, range(3), 0, 777)
+    public, witness = build_aggregation_witness(
+        contract.tree_snapshot(), 0, votes, 0, 777)
+    proof = prove("transparent", AGGREGATION, public, witness)
+    log = dump_log(contract)
+    for relabelled in (replace(proof, backend_id="groth16"),
+                       replace(proof, circuit_id=circuits.SLASH)):
+        with pytest.raises(InvalidProof):
+            contract.submit_block("owner-0", 0, 777, public.validator_bits,
+                                  public.post_state_root, relabelled)
+        assert dump_log(contract) == log
+
+    contract, _, _, s_public, s_proof = slashable_setup()
+    log = dump_log(contract)
+    for relabelled in (replace(s_proof, backend_id="groth16"),
+                       replace(s_proof, circuit_id=AGGREGATION)):
+        with pytest.raises(InvalidProof):
+            contract.slash("owner-0", 0, 3, s_public.post_state_root, relabelled)
+        assert dump_log(contract) == log
+    contract.slash("owner-0", 0, 3, s_public.post_state_root, s_proof)
+    assert contract.account(3).balance == 0
+
+
 def test_oversize_payloads_refused_before_verification(monkeypatch):
     """Trailing spaces keep a payload's JSON; the backend refuses 5 MB of
     them unread, and the contract refuses any payload longer than an honest
@@ -623,9 +656,9 @@ def test_oversize_payloads_refused_before_verification(monkeypatch):
         return replace(p, payload=p.payload + b" " * (size - len(p.payload)))
 
     calls = []
-    real = contract.backend.verify
-    monkeypatch.setattr(contract.backend, "verify",
-                        lambda *args: calls.append(args[0]) or real(*args))
+    real = circuits.TransparentBackend.verify
+    monkeypatch.setattr(circuits.TransparentBackend, "verify",
+                        lambda *args: calls.append(args[1]) or real(*args))
     bound = circuits.max_payload_size(AGGREGATION, 2)
     log = dump_log(contract)
     for oversize in (padded, pad_to(proof, bound + 1)):
@@ -640,9 +673,6 @@ def test_oversize_payloads_refused_before_verification(monkeypatch):
 
     contract, _, _, s_public, s_proof = slashable_setup()
     calls = []
-    real = contract.backend.verify
-    monkeypatch.setattr(contract.backend, "verify",
-                        lambda *args: calls.append(args[0]) or real(*args))
     bound = circuits.max_payload_size(circuits.SLASH, 2)
     log = dump_log(contract)
     for oversize in (pad_to(s_proof, len(s_proof.payload) + 5_000_000),

@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import honest_votes
 from zkoracle import eddsa
+from zkoracle.circuits import AGGREGATION, build_aggregation_witness, prove
 from zkoracle.contract import (Contract, Params, apply_slash_transfer, dump_log,
                                parse_log, replay)
+from zkoracle.curve import Point
 from zkoracle.errors import CorruptLog, InvalidInput
 from zkoracle.field import P
 from zkoracle.selfcheck import _exercise_membership
@@ -51,9 +54,47 @@ def test_unloggable_strings_rejected_at_entry(bad):
         contract.request_block(bad, 5, contract.params.request_fee)
     contract.register("owner", KEY.pk, "ip", 100)
     with pytest.raises(InvalidInput):
-        contract.replace(bad, KEY.pk, "ip", 500, 1, contract.account(1),
-                         contract.prove(1))
+        contract.replace(bad, KEY.pk, "ip", 500, 0, contract.account(0),
+                         contract.prove(0))
     assert len(contract.events) == 1
+    assert dump_log(roundtrip(contract)) == dump_log(contract)
+
+
+def test_values_of_another_type_rejected_at_entry():
+    """Each value below would be logged in a form that dump_log cannot write
+    or parse_log refuses: a float where the log reads an int, a string where
+    it reads an int, an int too long to write, or a time that is no finite
+    number."""
+    keys = [eddsa.keygen(bytes([i + 1]) * 32) for i in range(3)]  # slot 3 stays free
+    contract = Contract(P4)
+    for i, kp in enumerate(keys):
+        contract.register(f"o{i}", kp.pk, f"ip{i}", 100)
+    fee = contract.params.request_fee
+    contract.request_block("client", 7, fee)
+    votes = honest_votes(keys, range(3), 0, 0)
+    public, witness = build_aggregation_witness(contract.tree_snapshot(), 0, votes, 0, 0)
+    proof = prove("transparent", AGGREGATION, public, witness)
+    log = dump_log(contract)
+    rejected = [
+        lambda: contract.submit_block("o0", 0, 0.0, public.validator_bits,
+                                      public.post_state_root, proof),
+        lambda: contract.request_block("client", "7 x=1", fee),
+        lambda: contract.request_block("client", 7, 1e9),
+        lambda: contract.request_block("client", 10 ** 5000, fee),  # too long to write
+        lambda: contract.register("a", KEY.pk, "ip", 100.0),
+        lambda: contract.register("b", Point(0.0, 1.0), "ip", 100),
+        lambda: contract.set_time(float("nan")),
+        lambda: contract.set_time(float("inf")),
+        lambda: contract.set_time("5"),
+    ]
+    for call in rejected:
+        with pytest.raises(InvalidInput):
+            call()
+        assert dump_log(contract) == log
+    # the same calls with values of the logged types go through
+    contract.set_time(5)
+    contract.submit_block("o0", 0, 0, public.validator_bits, public.post_state_root, proof)
+    contract.request_block("client", 7, fee)
     assert dump_log(roundtrip(contract)) == dump_log(contract)
 
 

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,7 @@ from zkoracle.contract import Contract, Params, apply_slash_transfer
 from zkoracle.curve import L
 from zkoracle.errors import CorruptLog
 from zkoracle.field import P
-from zkoracle.nodes import OracleNode, check_finality, make_vote, vote_message
+from zkoracle.nodes import OracleNode, make_vote, vote_message
 from zkoracle.simnet import MockChain, ScenarioConfig, run_scenario
 
 P4 = Params(depth=2)
@@ -85,9 +86,10 @@ def test_warm_vote_makes_four_permute_misses():
 def test_finality_boundaries():
     chain = MockChain(random.Random(1))
     chain.advance(106)  # tip = 106
-    assert check_finality(chain, 100, 6)
-    assert not check_finality(chain, 101, 6)
-    assert not check_finality(chain, 200, 6)
+    node = make_node(0)
+    assert node.answer(100, chain) == chain.block_at(100).hash % P != 0
+    assert node.answer(101, chain) == 0
+    assert node.answer(200, chain) == 0
 
 
 def test_finality_orphaned_fork():
@@ -97,10 +99,11 @@ def test_finality_orphaned_fork():
         tip = 20
 
         def block_at(self, number):
-            return None if number == 9 else object()
+            return None if number == 9 else SimpleNamespace(hash=P + 7)
 
-    assert check_finality(StubChain(), 10, 6)
-    assert not check_finality(StubChain(), 9, 6)
+    node = make_node(0)
+    assert node.answer(10, StubChain()) == 7
+    assert node.answer(9, StubChain()) == 0
 
 
 # -- validator behavior ----------------------------------------------------------------
@@ -318,7 +321,8 @@ def test_build_slashes_skips_unprovable_votes():
     agg = nodes[0]
     good = make_vote(nodes[2].keypair.sk, 2, 0, 55)
     forged = replace(good, validator_index=3)  # wrong key for the index
-    agg.votes[0] = {3: forged, 2: good}  # as if stored without a signature check
+    # as if both had passed a signature check at intake
+    agg.votes[0] = {3: (forged, True), 2: (good, True)}
     slashes = agg.build_slashes(0, 99)
     assert [public.val_index for public, _ in slashes] == [2]
 
@@ -362,7 +366,7 @@ def test_forged_late_vote_cannot_shield_a_dissenter(monkeypatch):
     dissent = make_vote(nodes[3].keypair.sk, 3, 0, 55)
     assert agg.on_vote(dissent) == (True, None)
     assert len(checks) == 2
-    assert agg.votes[0][3] == dissent
+    assert agg.votes[0][3] == (dissent, True)
     agg.sync(contract.events)
     slashes = agg.build_slashes(0, 99)
     assert [s_public.val_index for s_public, _ in slashes] == [3]
@@ -375,9 +379,11 @@ def test_copy_of_a_valid_unchecked_vote_is_a_duplicate():
     contract, nodes, agg = answered_committee()
     late = make_vote(nodes[0].keypair.sk, 0, 0, 99)
     assert agg.on_vote(late) == (True, None)
+    assert agg.votes[0][0] == (late, False)
     assert agg.on_vote(late) == (False, "duplicate-vote")
+    assert agg.votes[0][0] == (late, True)
     assert agg.on_vote(make_vote(nodes[0].keypair.sk, 0, 0, 55)) == (False, "duplicate-vote")
-    assert agg.votes[0][0] == late
+    assert agg.votes[0][0] == (late, True)
 
 
 def test_unchecked_votes_are_never_packaged():
@@ -395,6 +401,25 @@ def test_honest_committee_checks_only_the_votes_it_packages(monkeypatch):
     run = run_scenario(ScenarioConfig(depth=4, committee=16, rounds=2, seed=5))
     assert [r.votes_received for r in run.metrics.rows] == [16, 16]
     assert len(checks) == 2 * 9  # t = 9 of the 16 votes per request
+
+
+@pytest.mark.parametrize("config, timed_out", [
+    (ScenarioConfig(depth=4, committee=16, rounds=40, seed=1), []),
+    # online aggregators 7 and 15 time out holding votes that do not reach t
+    (ScenarioConfig(depth=4, committee=16, rounds=40, seed=3, drop_rate=0.2,
+                    adversaries={0: "offline_aggregator", 3: "duplicate_vote",
+                                 6: "wrong_hash", 9: "equivocate", 12: "zero_vote"}),
+     [0, 7, 15, 0, 15, 0]),
+], ids=["honest", "faults"])
+def test_no_vote_state_outlives_its_request(config, timed_out):
+    """build_slashes drops what its aggregator held for the request, and a
+    timed-out aggregator's votes go with its attempt."""
+    run = run_scenario(config)
+    assert [e.payload["index"] for e in run.contract.events
+            if e.kind == "AggregatorTimeout"] == timed_out
+    assert sum(r.votes_received for r in run.metrics.rows) > 0
+    for node in run.nodes:
+        assert node.votes == {} and node.answered == {}
 
 
 # -- sync -------------------------------------------------------------------------------------
