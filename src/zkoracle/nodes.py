@@ -9,8 +9,11 @@ index, and hands over each witness builder's public inputs with the proof
 submissions from the same log and chain view.  After it has submitted, it
 stores votes for its answer without checking their signatures, and never
 packages them.  A request's votes are one map from validator index to
-(vote, checked), which the node drops with the request's answer once it has
-built the request's slashes.
+(vote, key), the key being the one the vote's signature was checked under, or
+None while it is unchecked; the node drops the map with the request's answer
+once it has built the request's slashes.  catch_up is the one way a tree
+follows the contract's log, for a node's own sync and for a check of it on a
+copy.
 """
 
 from collections import Counter
@@ -55,6 +58,18 @@ def signed_by(pubkey, vote: Vote) -> bool:
         return False
 
 
+def catch_up(tree: StateTree, events, seq: int):
+    """Apply events[seq:] to tree in log order, yielding the number of events
+    the tree reflects after each one; CorruptLog at the first event whose seq
+    is not its position in the log."""
+    for event in events[seq:]:
+        if event.seq != seq:
+            raise CorruptLog(f"expected seq {seq}, got {event.seq}")
+        apply_event_to_tree(tree, event)
+        seq += 1
+        yield seq
+
+
 class OracleNode:
     def __init__(self, name: str, keypair: eddsa.KeyPair, params: Params):
         self.name = name
@@ -63,8 +78,8 @@ class OracleNode:
         self.index: Optional[int] = None  # assigned when registered on-chain
         self.local_tree = StateTree(params.depth)
         self.last_seq = 0
-        # request_id -> {validator_index: (first accepted vote, whether its
-        # signature was checked)}; build_slashes drops the request
+        # request_id -> {validator_index: (first accepted vote, the key its
+        # signature was checked under or None)}; build_slashes drops the request
         self.votes = {}
         self.answered = {}  # request_id -> the block hash this node submitted
 
@@ -72,12 +87,10 @@ class OracleNode:
 
     def sync(self, events) -> None:
         """Catch up on events past last_seq; afterwards the local root equals
-        the contract root at that seq."""
-        for event in events[self.last_seq:]:
-            if event.seq != self.last_seq:
-                raise CorruptLog(f"expected seq {self.last_seq}, got {event.seq}")
-            apply_event_to_tree(self.local_tree, event)
-            self.last_seq += 1
+        the contract root at that seq.  On CorruptLog, last_seq counts the
+        events applied before it."""
+        for self.last_seq in catch_up(self.local_tree, events, self.last_seq):
+            pass
 
     # -- validator side -----------------------------------------------------
 
@@ -99,14 +112,15 @@ class OracleNode:
         """Store the vote iff it names a block hash in [0, P), is the first from
         its validator for the request and is authenticated by the key
         registered at its index.  Returns (accepted, reason).  The vote is
-        stored as (vote, checked) in `votes[vote.request_id]`.
+        stored as (vote, key) in `votes[vote.request_id]`, key being the
+        registered key its signature was checked under.
 
         Once this node has submitted an answer, a vote for that answer can be
         neither packaged nor slashed, so it is stored with its signature
-        unchecked.  Such a vote holds its validator's slot only until a second
-        vote from that validator arrives: the stored one is checked then and
-        marked so if it passes; if it fails, the new vote takes the slot, as
-        if it had come first."""
+        unchecked, key None.  Such a vote holds its validator's slot only
+        until a second vote from that validator arrives: the stored one is
+        checked then and given the key if it passes; if it fails, the new vote
+        takes the slot, as if it had come first."""
         if not 0 <= vote.validator_index < self.params.capacity:
             return False, "index-out-of-range"
         if not 0 <= vote.block_hash < P:
@@ -116,28 +130,34 @@ class OracleNode:
             return False, "unregistered-validator"
         stored = self.votes.get(vote.request_id, {})
         if vote.validator_index in stored:
-            first, checked = stored[vote.validator_index]
-            if checked or signed_by(account.pubkey, first):
-                stored[vote.validator_index] = (first, True)
+            first, key = stored[vote.validator_index]
+            if key is None and signed_by(account.pubkey, first):
+                key = account.pubkey
+                stored[vote.validator_index] = (first, key)
+            if key is not None:
                 return False, "duplicate-vote"
             del stored[vote.validator_index]
-        checked = self.answered.get(vote.request_id) != vote.block_hash
-        if checked and not signed_by(account.pubkey, vote):
-            return False, "invalid-signature"
-        self.votes.setdefault(vote.request_id, {})[vote.validator_index] = (vote, checked)
+        key = None
+        if self.answered.get(vote.request_id) != vote.block_hash:
+            if not signed_by(account.pubkey, vote):
+                return False, "invalid-signature"
+            key = account.pubkey
+        self.votes.setdefault(vote.request_id, {})[vote.validator_index] = (vote, key)
         return True, None
 
     def try_submit(self, request_id: int):
         """(AggregationPublic, Proof) for the first t same-hash checked votes,
         ascending index, once a majority exists; None before."""
         t = self.params.threshold
-        stored = [vote for vote, checked in self.votes.get(request_id, {}).values()
-                  if checked]
-        tally = Counter(vote.block_hash for vote in stored)
+        stored = self.votes.get(request_id, {})
+        if len(stored) < t:
+            return None  # no hash can have t checked votes yet
+        checked = [vote for vote, key in stored.values() if key is not None]
+        tally = Counter(vote.block_hash for vote in checked)
         winner = next((h for h, count in tally.items() if count >= t), None)
         if winner is None:
             return None
-        votes = sorted((v for v in stored if v.block_hash == winner),
+        votes = sorted((v for v in checked if v.block_hash == winner),
                        key=lambda v: v.validator_index)[:t]
         public, witness = circuits.build_aggregation_witness(
             self.local_tree, self.index, votes, request_id, winner)
@@ -152,10 +172,12 @@ class OracleNode:
         work = self.local_tree.copy()
         stored = self.votes.pop(request_id, {})
         self.answered.pop(request_id, None)
-        for index, (vote, _) in sorted(stored.items()):
+        for index, (vote, key) in sorted(stored.items()):
             if vote.block_hash == answer_hash or index == self.index:
                 continue
-            if not signed_by(work.account(index).pubkey, vote):
+            pubkey = work.account(index).pubkey
+            # a vote checked under the index's current key needs no second check
+            if pubkey != key and not signed_by(pubkey, vote):
                 continue  # an unauthenticated vote cannot be proven in-circuit
             public, witness = circuits.build_slash_witness(
                 work, self.index, vote, request_id, answer_hash)

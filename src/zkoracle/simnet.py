@@ -5,7 +5,9 @@ source chain and the message bus.  A request is a loop over aggregator
 attempts that never overlap: each attempt's votes go to that attempt's
 aggregator, which hears them in arrival order, ties in send order, until it
 submits or its deadline passes.  The same (config, seed) therefore always
-produces byte-identical metrics and event logs.
+produces byte-identical metrics and event logs.  verify_run checks a finished
+run without changing it: it catches up a copy of each node's tree, so only the
+nodes that aggregated keep a synced tree.
 """
 
 import json
@@ -20,7 +22,7 @@ from .contract import MAX_LOG_DEPTH, MIN_STAKE, Contract, Params, conservation_t
 from .errors import ConfigError
 from .field import P
 from .mimc import mimc_hash
-from .nodes import FINALITY, OracleNode, make_vote
+from .nodes import FINALITY, OracleNode, catch_up, make_vote
 
 HONEST = "honest"
 WRONG_HASH = "wrong_hash"
@@ -384,13 +386,19 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
 def verify_run(run: ScenarioRun) -> list:
     """Conservation, replayability and the scenario's safety expectation.
 
-    Returns a list of human-readable violations; empty means the run holds.
+    Each node's tree, caught up from its own last_seq, must reach the
+    contract root.  The catch-up runs on a copy that is dropped before the
+    next node's, so verify_run changes no node and a second call returns the
+    same list.  Returns a list of human-readable violations; empty means the
+    run holds.
     """
     contract = run.contract
     problems = conservation_trace(contract)
     for node in run.nodes:
-        node.sync(contract.events)
-        if node.local_tree.root != contract.state_root:
+        tree = node.local_tree.copy()
+        for _ in catch_up(tree, contract.events, node.last_seq):
+            pass
+        if tree.root != contract.state_root:
             problems.append(f"{node.name} local root diverges after sync")
 
     if run.config.expect_violation:

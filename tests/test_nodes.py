@@ -1,6 +1,7 @@
 """Node logic tests: voting, vote intake, aggregation, slashing, state sync."""
 
 import random
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from zkoracle.contract import Contract, Params, apply_slash_transfer
 from zkoracle.curve import L
 from zkoracle.errors import CorruptLog
 from zkoracle.field import P
-from zkoracle.nodes import OracleNode, make_vote, vote_message
+from zkoracle.nodes import OracleNode, make_vote, signed_by, vote_message
 from zkoracle.simnet import MockChain, ScenarioConfig, run_scenario
 
 P4 = Params(depth=2)
@@ -321,8 +322,9 @@ def test_build_slashes_skips_unprovable_votes():
     agg = nodes[0]
     good = make_vote(nodes[2].keypair.sk, 2, 0, 55)
     forged = replace(good, validator_index=3)  # wrong key for the index
-    # as if both had passed a signature check at intake
-    agg.votes[0] = {3: (forged, True), 2: (good, True)}
+    # as if both had passed a signature check at intake, the forgery under a
+    # key index 3 has since replaced
+    agg.votes[0] = {3: (forged, nodes[2].keypair.pk), 2: (good, nodes[2].keypair.pk)}
     slashes = agg.build_slashes(0, 99)
     assert [public.val_index for public, _ in slashes] == [2]
 
@@ -366,7 +368,7 @@ def test_forged_late_vote_cannot_shield_a_dissenter(monkeypatch):
     dissent = make_vote(nodes[3].keypair.sk, 3, 0, 55)
     assert agg.on_vote(dissent) == (True, None)
     assert len(checks) == 2
-    assert agg.votes[0][3] == (dissent, True)
+    assert agg.votes[0][3] == (dissent, nodes[3].keypair.pk)
     agg.sync(contract.events)
     slashes = agg.build_slashes(0, 99)
     assert [s_public.val_index for s_public, _ in slashes] == [3]
@@ -379,11 +381,11 @@ def test_copy_of_a_valid_unchecked_vote_is_a_duplicate():
     contract, nodes, agg = answered_committee()
     late = make_vote(nodes[0].keypair.sk, 0, 0, 99)
     assert agg.on_vote(late) == (True, None)
-    assert agg.votes[0][0] == (late, False)
+    assert agg.votes[0][0] == (late, None)
     assert agg.on_vote(late) == (False, "duplicate-vote")
-    assert agg.votes[0][0] == (late, True)
+    assert agg.votes[0][0] == (late, nodes[0].keypair.pk)
     assert agg.on_vote(make_vote(nodes[0].keypair.sk, 0, 0, 55)) == (False, "duplicate-vote")
-    assert agg.votes[0][0] == (late, True)
+    assert agg.votes[0][0] == (late, nodes[0].keypair.pk)
 
 
 def test_unchecked_votes_are_never_packaged():
@@ -403,13 +405,32 @@ def test_honest_committee_checks_only_the_votes_it_packages(monkeypatch):
     assert len(checks) == 2 * 9  # t = 9 of the 16 votes per request
 
 
+# one node of each adversary kind and 20% drops, as in the n16 benchmark
+FAULTS = ScenarioConfig(depth=4, committee=16, rounds=40, seed=3, drop_rate=0.2,
+                        adversaries={0: "offline_aggregator", 3: "duplicate_vote",
+                                     6: "wrong_hash", 9: "equivocate", 12: "zero_vote"})
+
+
+def test_build_slashes_rechecks_no_vote(monkeypatch):
+    """Every dissent build_slashes proves was checked at intake under the key
+    its index still has, so it makes no signature check of its own."""
+    callers = []
+
+    def counting(pubkey, vote):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return signed_by(pubkey, vote)
+
+    monkeypatch.setattr("zkoracle.nodes.signed_by", counting)
+    run = run_scenario(FAULTS)
+    assert sum(r.slashes for r in run.metrics.rows) > 0
+    assert callers.count("on_vote") > 0
+    assert callers.count("build_slashes") == 0
+
+
 @pytest.mark.parametrize("config, timed_out", [
     (ScenarioConfig(depth=4, committee=16, rounds=40, seed=1), []),
     # online aggregators 7 and 15 time out holding votes that do not reach t
-    (ScenarioConfig(depth=4, committee=16, rounds=40, seed=3, drop_rate=0.2,
-                    adversaries={0: "offline_aggregator", 3: "duplicate_vote",
-                                 6: "wrong_hash", 9: "equivocate", 12: "zero_vote"}),
-     [0, 7, 15, 0, 15, 0]),
+    (FAULTS, [0, 7, 15, 0, 15, 0]),
 ], ids=["honest", "faults"])
 def test_no_vote_state_outlives_its_request(config, timed_out):
     """build_slashes drops what its aggregator held for the request, and a
@@ -457,3 +478,7 @@ def test_sync_rejects_gap():
     node = make_node(7)
     with pytest.raises(CorruptLog):
         node.sync(contract.events[1:])
+    # a gap further in: last_seq counts the events applied before it
+    with pytest.raises(CorruptLog):
+        node.sync(contract.events[:2] + contract.events[3:])
+    assert node.last_seq == 2

@@ -210,6 +210,32 @@ def test_equivocate_and_duplicate_behaviors():
     assert verify_run(run) == []
 
 
+# -- post-run verification ----------------------------------------------------
+
+
+def test_verify_run_changes_no_node():
+    run = run_scenario(ScenarioConfig(depth=4, committee=16, rounds=3, seed=27))
+    before = [(node.last_seq, dump_snapshot(node.local_tree)) for node in run.nodes]
+    aggregators = {e.payload["agg_index"] for e in run.contract.events
+                   if e.kind == "BlockSubmitted"}
+    assert {node.index for node in run.nodes if node.last_seq > 0} == aggregators
+    problems = verify_run(run)
+    assert problems == []
+    assert [(node.last_seq, dump_snapshot(node.local_tree))
+            for node in run.nodes] == before
+    assert verify_run(run) == problems
+
+
+def test_verify_run_reports_a_diverged_node():
+    run = run_scenario(ScenarioConfig(depth=4, committee=16, rounds=3, seed=27))
+    node = next(node for node in run.nodes if node.last_seq > 0)
+    # later rewards add to this balance, so catching up keeps the difference
+    account = node.local_tree.account(5)
+    node.local_tree.set_account(5, dataclasses.replace(account,
+                                                       balance=account.balance + 1))
+    assert verify_run(run) == [f"{node.name} local root diverges after sync"]
+
+
 def test_only_votes_sent_are_signed(monkeypatch):
     # one node of each adversary kind: every node signs the one vote it sends
     # (a duplicate voter sends the same vote twice), the equivocator two
