@@ -257,25 +257,21 @@ def _same_root(a: _Fold, b) -> bool:
     return ha == hb
 
 
-def _membership(cs: ConstraintMeter, root, account: Account,
-                proof: MerkleProof, depth: int, site: str) -> tuple:
-    """Prove account is in the tree at the position given by its own index.
+def _credit(cs: ConstraintMeter, root, account: Account, proof: MerkleProof,
+            balance: int, depth: int, site: str) -> _Fold:
+    """Prove account is in the tree at the position its own index gives, and
+    return the root with its balance set to balance.
 
     Directions are derived in-circuit from the index bits, which also range
     checks the index below 2^D.  root is a hash or the fold of an earlier
-    update.  Returns the bits for the later root update.
+    credit.  The update asserts nothing, so it never sets a failure site.
     """
     bits = cs.decompose(account.index, depth, f"{site}.index-bits")
     leaf = _leaf(cs, account, account.balance)
     cs.assert_eq(leaf, proof.leaf, f"{site}.leaf")
     member = _fold(cs, leaf, proof, bits)
     cs.assert_eq(_same_root(member, root), True, f"{site}.membership")
-    return bits
-
-
-def _updated_root(cs: ConstraintMeter, account: Account, new_balance: int,
-                  proof: MerkleProof, bits) -> _Fold:
-    return _fold(cs, _leaf(cs, account, new_balance), proof, bits)
+    return _fold(cs, _leaf(cs, account, balance), proof, bits)
 
 
 def _verify_sig(cs: ConstraintMeter, pk: Point, msg: int, sig: Signature, site: str) -> None:
@@ -296,12 +292,12 @@ def check_aggregation(public: AggregationPublic,
     """Run the aggregation circuit over exactly t votes.
 
     Sequence: pairwise-distinct vote indices, which cost t(t-1) constraints
-    and are evaluated in O(t); aggregator membership against the pre-state
-    root and its reward update; per vote, membership against the running
-    root, message hash, signature check, claimed-hash equality, reward update
-    and bit accumulation; final equality of the accumulated validator bits
-    and the running root with the public inputs.  The running root is a
-    pending fold until the post-state comparison, which hashes it to the top.
+    and are evaluated in O(t); the aggregator's reward credited against the
+    pre-state root; per vote, its reward credited against the running root,
+    then message hash, signature check, claimed-hash equality and bit
+    accumulation; final equality of the accumulated validator bits and the
+    running root with the public inputs.  The running root is a pending fold
+    until the post-state comparison, which hashes it to the top.
     """
     depth = len(witness.aggregator_proof.path)
     t = threshold(depth)
@@ -313,25 +309,22 @@ def check_aggregation(public: AggregationPublic,
     cs.assert_distinct([v.account.index for v in votes], "duplicate-vote")
 
     agg = witness.aggregator_account
-    bits = _membership(cs, public.pre_state_root, agg, witness.aggregator_proof,
-                       depth, "aggregator")
-    root = _updated_root(cs, agg, agg.balance + AGG_REWARD, witness.aggregator_proof, bits)
+    root = _credit(cs, public.pre_state_root, agg, witness.aggregator_proof,
+                   agg.balance + AGG_REWARD, depth, "aggregator")
 
     mask = (1 << depth) - 1
     actual_bits = 0
     for i, v in enumerate(votes):
         site = f"vote[{i}]"
-        vbits = _membership(cs, root, v.account, v.merkle_proof, depth, site)
+        root = _credit(cs, root, v.account, v.merkle_proof,
+                       v.account.balance + VAL_REWARD, depth, site)
         msg = cs.mimc(vote_message_inputs(v.account.index, public.request_id,
                                           v.claimed_block_hash))
         _verify_sig(cs, v.account.pubkey, msg, v.signature, site)
         cs.assert_eq(v.claimed_block_hash, public.block_hash, f"{site}.block-hash")
-        # the decomposition above already constrains the index to D bits;
+        # the decomposition in _credit already constrains the index to D bits;
         # masking only keeps the host-side shift bounded for bad witnesses
         actual_bits += 1 << (v.account.index & mask)
-        root = _updated_root(cs, v.account, v.account.balance + VAL_REWARD,
-                             v.merkle_proof, vbits)
-
 
     cs.assert_eq(actual_bits, public.validator_bits, "validator-bits")
     cs.assert_eq(_root_hash(root), public.post_state_root, "post-state-root")
@@ -342,9 +335,10 @@ def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
     """Run the slashing circuit: a signed dissenting vote empties the victim's
     balance into the aggregator's account.
 
-    The deducted amount is captured before the victim's balance is zeroed so
-    the transfer is value-preserving, and both witness accounts are bound to
-    the public indices (unbound public indices would carry no meaning).
+    Sequence: distinct public indices, each bound to its witness account
+    (unbound ones would mean nothing); the victim zeroed against the pre-state
+    root; message hash and signature check; the victim's whole former balance
+    credited to the aggregator; dissent; the running root against the post root.
     """
     depth = len(witness.victim.merkle_proof.path)
     cs = ConstraintMeter()
@@ -355,17 +349,13 @@ def check_slash(public: SlashPublic, witness: SlashWitness) -> ConstraintReport:
     cs.assert_eq(victim.account.index, public.val_index, "victim-index")
     cs.assert_eq(agg.index, public.agg_index, "aggregator-index")
 
-    vbits = _membership(cs, public.pre_state_root, victim.account,
-                        victim.merkle_proof, depth, "victim")
+    root = _credit(cs, public.pre_state_root, victim.account, victim.merkle_proof,
+                   0, depth, "victim")
     msg = cs.mimc(vote_message_inputs(victim.account.index, public.request_id,
                                       victim.claimed_block_hash))
     _verify_sig(cs, victim.account.pubkey, msg, victim.signature, "victim")
-
-    deducted = victim.account.balance
-    root = _updated_root(cs, victim.account, 0, victim.merkle_proof, vbits)
-
-    abits = _membership(cs, root, agg, witness.aggregator_proof, depth, "aggregator")
-    root = _updated_root(cs, agg, agg.balance + deducted, witness.aggregator_proof, abits)
+    root = _credit(cs, root, agg, witness.aggregator_proof,
+                   agg.balance + victim.account.balance, depth, "aggregator")
 
     # the circuit sees the claimed hash as a field element: h + P is a vote for h
     cs.assert_ne(public.block_hash, victim.claimed_block_hash % P, "dissent")
@@ -397,18 +387,15 @@ def _stage_aggregation(tree, agg_index, votes, request_id, block_hash):
     work = tree.copy()
     pre_root = work.root
 
-    agg_account = work.account(agg_index)
     agg_proof = work.prove(agg_index)
-    work.set_account(agg_index, replace(agg_account, balance=agg_account.balance + AGG_REWARD))
+    agg_account = work.credit(agg_index, AGG_REWARD)
 
     bits = 0
     vote_witnesses = []
     for v in votes:
-        account = work.account(v.validator_index)
         proof = work.prove(v.validator_index)
+        account = work.credit(v.validator_index, VAL_REWARD)
         vote_witnesses.append(VoteWitness(account, proof, v.signature, v.block_hash))
-        work.set_account(v.validator_index,
-                         replace(account, balance=account.balance + VAL_REWARD))
         bits |= 1 << v.validator_index
 
     public = AggregationPublic(pre_root, work.root, block_hash, request_id, bits)
@@ -426,14 +413,10 @@ def build_slash_witness(tree: StateTree, agg_index: int, victim_vote, request_id
     pre_root = work.root
     val_index = victim_vote.validator_index
 
-    victim_account = work.account(val_index)
     victim_proof = work.prove(val_index)
-    deducted = victim_account.balance
-    work.set_account(val_index, replace(victim_account, balance=0))
-
-    agg_account = work.account(agg_index)
+    victim_account = work.credit(val_index, -work.account(val_index).balance)
     agg_proof = work.prove(agg_index)
-    work.set_account(agg_index, replace(agg_account, balance=agg_account.balance + deducted))
+    agg_account = work.credit(agg_index, victim_account.balance)
 
     public = SlashPublic(pre_root, work.root, majority_hash, request_id,
                          agg_index, val_index)

@@ -411,21 +411,10 @@ def flagged_indices(bits: int) -> list:
     return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
-def apply_reward_updates(tree: StateTree, agg_index: int, validator_bits: int) -> None:
-    """Credit the aggregator then each flagged validator."""
-    agg = tree.account(agg_index)
-    tree.set_account(agg_index, Account(agg_index, agg.pubkey, agg.balance + AGG_REWARD))
-    for index in flagged_indices(validator_bits):
-        account = tree.account(index)
-        tree.set_account(index, Account(index, account.pubkey, account.balance + VAL_REWARD))
-
-
 def apply_slash_transfer(tree: StateTree, agg_index: int, val_index: int) -> None:
     """Move the victim's whole balance to the aggregator."""
-    victim = tree.account(val_index)
-    tree.set_account(val_index, Account(val_index, victim.pubkey, 0))
-    agg = tree.account(agg_index)
-    tree.set_account(agg_index, Account(agg_index, agg.pubkey, agg.balance + victim.balance))
+    victim = tree.credit(val_index, -tree.account(val_index).balance)
+    tree.credit(agg_index, victim.balance)
 
 
 def apply_event_to_tree(tree: StateTree, event: Event) -> None:
@@ -438,7 +427,9 @@ def apply_event_to_tree(tree: StateTree, event: Event) -> None:
     elif event.kind == WITHDRAWN:
         tree.set_account(p["index"], empty_account(p["index"]))
     elif event.kind == BLOCK_SUBMITTED:
-        apply_reward_updates(tree, p["agg_index"], p["validator_bits"])
+        tree.credit(p["agg_index"], AGG_REWARD)
+        for index in flagged_indices(p["validator_bits"]):
+            tree.credit(index, VAL_REWARD)
     elif event.kind == SLASHED:
         apply_slash_transfer(tree, p["agg_index"], p["val_index"])
 

@@ -121,6 +121,12 @@ class StateTree:
             level[pos] = None
             pos >>= 1
 
+    def credit(self, index: int, amount: int) -> Account:
+        """Add amount to index's balance; returns the account as it was."""
+        account = self.account(index)
+        self.set_account(index, Account(index, account.pubkey, account.balance + amount))
+        return account
+
     def prove(self, index: int) -> MerkleProof:
         """The leaf and its siblings; hashes only the stale nodes below them."""
         self._check_index(index)

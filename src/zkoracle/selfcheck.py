@@ -15,12 +15,13 @@ from .simnet import ScenarioConfig, run_scenario, verify_run
 _ABSENT = "absent"
 
 
-def _small_committee(depth: int = 2, stake: int = 100):
-    tree = StateTree(depth)
+def _small_committee():
+    """A depth-2 tree of four members staking 100 each, and their keys."""
+    tree = StateTree(2)
     keys = []
-    for i in range(1 << depth):
+    for i in range(4):
         kp = eddsa.keygen(bytes([i + 1]) * 32)
-        tree.set_account(i, Account(i, kp.pk, stake))
+        tree.set_account(i, Account(i, kp.pk, 100))
         keys.append(kp)
     return tree, keys
 

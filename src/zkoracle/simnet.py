@@ -6,8 +6,9 @@ attempts that never overlap: each attempt's votes go to that attempt's
 aggregator, which hears them in arrival order, ties in send order, until it
 submits or its deadline passes.  The same (config, seed) therefore always
 produces byte-identical metrics and event logs.  verify_run checks a finished
-run without changing it: it catches up a copy of each node's tree, so only the
-nodes that aggregated keep a synced tree.
+run without changing it: it catches up a copy of one node's tree per distinct
+(last_seq, local root) pair, so only the nodes that aggregated keep a synced
+tree.
 """
 
 import json
@@ -46,7 +47,6 @@ T_AGG = 60.0  # seconds an aggregator has before anyone may time it out
 class Block:
     number: int
     hash: int
-    parent: int
 
 
 class MockChain:
@@ -59,7 +59,7 @@ class MockChain:
 
     def _mint(self, number: int, parent_hash: int) -> Block:
         nonce = self.rng.getrandbits(64)
-        return Block(number, mimc_hash([number, parent_hash, nonce]), parent_hash)
+        return Block(number, mimc_hash([number, parent_hash, nonce]))
 
     @property
     def tip(self) -> int:
@@ -387,18 +387,24 @@ def verify_run(run: ScenarioRun) -> list:
     """Conservation, replayability and the scenario's safety expectation.
 
     Each node's tree, caught up from its own last_seq, must reach the
-    contract root.  The catch-up runs on a copy that is dropped before the
-    next node's, so verify_run changes no node and a second call returns the
-    same list.  Returns a list of human-readable violations; empty means the
-    run holds.
+    contract root.  Nodes with the same last_seq and local root reach the
+    same tree, so one catch-up per distinct pair decides for all of them;
+    at n256 the 255 nodes that never aggregated share one.  The catch-up runs
+    on a copy that is dropped before the next, so verify_run changes no node
+    and a second call returns the same list.  Returns a list of
+    human-readable violations; empty means the run holds.
     """
     contract = run.contract
     problems = conservation_trace(contract)
+    reaches = {}  # (last_seq, local root) -> catching up reaches the contract root
     for node in run.nodes:
-        tree = node.local_tree.copy()
-        for _ in catch_up(tree, contract.events, node.last_seq):
-            pass
-        if tree.root != contract.state_root:
+        key = (node.last_seq, node.local_tree.root)
+        if key not in reaches:
+            tree = node.local_tree.copy()
+            for _ in catch_up(tree, contract.events, node.last_seq):
+                pass
+            reaches[key] = tree.root == contract.state_root
+        if not reaches[key]:
             problems.append(f"{node.name} local root diverges after sync")
 
     if run.config.expect_violation:

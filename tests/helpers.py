@@ -188,11 +188,11 @@ def ref_assert_distinct(cs, values, site):
                 cs.assert_ne(values[i], values[j], f"{site}[{i},{j}]")
 
 
-# -- reference Merkle gadgets -------------------------------------------------------
-# The full folds circuits._membership and _updated_root replaced: every running
-# root is hashed to the top as soon as it exists.  check_aggregation and
-# check_slash must report the same ok, count and failure_site with either, or
-# raise the same error.
+# -- reference Merkle gadget -------------------------------------------------------
+# The full folds that circuits._credit replaced: every running root is hashed
+# to the top as soon as it exists.  check_aggregation and check_slash must
+# report the same ok, count and failure_site with either, or raise the same
+# error.
 
 
 def ref_fold(cs, leaf, path, bits):
@@ -213,6 +213,11 @@ def ref_membership(cs, root, account, proof, depth, site):
 def ref_updated_root(cs, account, new_balance, proof, bits):
     new_leaf = cs.mimc([account.index, account.pubkey.x, account.pubkey.y, new_balance])
     return ref_fold(cs, new_leaf, proof.path, bits)
+
+
+def ref_credit(cs, root, account, proof, balance, depth, site):
+    bits = ref_membership(cs, root, account, proof, depth, site)
+    return ref_updated_root(cs, account, balance, proof, bits)
 
 
 # -- reference account tree ---------------------------------------------------------

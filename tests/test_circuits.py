@@ -7,11 +7,11 @@ from dataclasses import replace
 import pytest
 
 from helpers import (ORDER_8, build_committee, honest_votes, hostile_payloads,
-                     random_occupied_tree, ref_assert_distinct, ref_membership,
-                     ref_updated_root, ref_verify_sig)
+                     random_occupied_tree, ref_assert_distinct, ref_credit,
+                     ref_verify_sig)
 from zkoracle import circuits, curve, eddsa, merkle, mimc, selfcheck
-from zkoracle.circuits import (AGGREGATION, SLASH, AggregationPublic,
-                               AggregationWitness, ConstraintMeter, VoteWitness,
+from zkoracle.circuits import (AGGREGATION, SLASH, AggregationWitness,
+                               ConstraintMeter, _stage_aggregation,
                                aggregation_witness_from_obj,
                                aggregation_witness_to_obj,
                                build_aggregation_witness, build_slash_witness,
@@ -63,31 +63,11 @@ def test_validator_bits_accumulation():
     assert check_aggregation(public, witness).ok
 
 
-def _force(tree, agg_index, votes, request_id, block_hash):
-    """Package without the builder's same-hash guard."""
-    work = tree.copy()
-    pre = work.root
-    agg = work.account(agg_index)
-    agg_proof = work.prove(agg_index)
-    work.set_account(agg_index, replace(agg, balance=agg.balance + AGG_REWARD))
-    bits = 0
-    witnesses = []
-    for v in votes:
-        account = work.account(v.validator_index)
-        proof = work.prove(v.validator_index)
-        witnesses.append(VoteWitness(account, proof, v.signature, v.block_hash))
-        work.set_account(v.validator_index,
-                         replace(account, balance=account.balance + VAL_REWARD))
-        bits |= 1 << v.validator_index
-    public = AggregationPublic(pre, work.root, block_hash, request_id, bits)
-    return public, AggregationWitness(agg, agg_proof, tuple(witnesses))
-
-
 def test_wrong_claimed_hash_fails_at_blockhash_site():
     tree, keys = build_committee(2)
     votes = honest_votes(keys, [0, 1], 5, 777)
     votes.append(make_vote(keys[2].sk, 2, 5, 778))
-    public, witness = _force(tree, 0, votes, 5, 777)
+    public, witness = _stage_aggregation(tree, 0, votes, 5, 777)
     report = check_aggregation(public, witness)
     assert not report.ok
     assert report.failure_site == "vote[2].block-hash"
@@ -97,7 +77,7 @@ def test_duplicate_vote_index_fails():
     tree, keys = build_committee(2)
     votes = honest_votes(keys, [0, 1], 5, 777)
     votes.append(votes[0])
-    public, witness = _force(tree, 0, votes, 5, 777)
+    public, witness = _stage_aggregation(tree, 0, votes, 5, 777)
     report = check_aggregation(public, witness)
     assert not report.ok
     assert report.failure_site.startswith("duplicate-vote")
@@ -141,7 +121,7 @@ def test_underfull_popcount_cannot_be_accepted():
     # a t-slot witness claiming popcount t-1 needs a duplicated index
     tree, keys = build_committee(2)
     votes = honest_votes(keys, [0, 1], 5, 777) + honest_votes(keys, [1], 5, 777)
-    public, witness = _force(tree, 0, votes, 5, 777)
+    public, witness = _stage_aggregation(tree, 0, votes, 5, 777)
     assert bin(public.validator_bits).count("1") == 2
     report = check_aggregation(public, witness)
     assert not report.ok
@@ -322,7 +302,7 @@ def test_nonmember_account_fails_membership():
     votes.append(make_vote(outsider.sk, 2, 5, 777))
     # witness claims the outsider's key at index 2, which the tree never held
     work = tree.copy()
-    public, witness = _force(work, 0, votes, 5, 777)
+    public, witness = _stage_aggregation(work, 0, votes, 5, 777)
     bad_votes = list(witness.votes)
     bad_votes[2] = replace(bad_votes[2],
                            account=replace(bad_votes[2].account, pubkey=outsider.pk))
@@ -814,8 +794,7 @@ def test_lazy_root_folds_match_full_folds(monkeypatch):
                                       3, 777))]
 
     lazy = [_outcome(*case) for case in cases]
-    monkeypatch.setattr(circuits, "_membership", ref_membership)
-    monkeypatch.setattr(circuits, "_updated_root", ref_updated_root)
+    monkeypatch.setattr(circuits, "_credit", ref_credit)
     monkeypatch.setattr(circuits, "_root_hash", lambda root: root)  # already a hash
     assert lazy == [_outcome(*case) for case in cases]
     assert len(cases) >= 600

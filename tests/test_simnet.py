@@ -10,10 +10,11 @@ import sys
 
 import pytest
 
-from zkoracle import circuits, eddsa
+from zkoracle import circuits, eddsa, simnet
 from zkoracle.cli import bundled_scenarios, main
 from zkoracle.contract import dump_events, dump_log
-from zkoracle.merkle import dump_snapshot
+from zkoracle.merkle import Account, dump_snapshot
+from zkoracle.mimc import mimc_hash
 from zkoracle.errors import ConfigError
 from zkoracle.simnet import (T_AGG, MessageBus, MockChain, ScenarioConfig,
                              run_scenario, verify_run)
@@ -26,8 +27,13 @@ def test_chain_advance_and_hash_links():
     chain = MockChain(random.Random(1))
     chain.advance(5)
     assert chain.tip == 5
-    for n in range(1, 6):
-        assert chain.block_at(n).parent == chain.block_at(n - 1).hash
+    # each block hashes in its parent's hash, under the nonces the chain's rng draws
+    nonces = random.Random(1)
+    parent_hash = 0
+    for n in range(6):
+        block = chain.block_at(n)
+        assert block.hash == mimc_hash([n, parent_hash, nonces.getrandbits(64)])
+        parent_hash = block.hash
 
 
 def test_chain_advance_zero_is_noop():
@@ -234,6 +240,34 @@ def test_verify_run_reports_a_diverged_node():
     node.local_tree.set_account(5, dataclasses.replace(account,
                                                        balance=account.balance + 1))
     assert verify_run(run) == [f"{node.name} local root diverges after sync"]
+
+
+def test_verify_run_catches_up_once_per_distinct_tree(monkeypatch):
+    run = run_scenario(ScenarioConfig(depth=4, committee=16, rounds=3, seed=27))
+    distinct = {(node.last_seq, node.local_tree.root) for node in run.nodes}
+    calls = 0
+    catch_up = simnet.catch_up
+
+    def counting(tree, events, seq):
+        nonlocal calls
+        calls += 1
+        return catch_up(tree, events, seq)
+
+    monkeypatch.setattr(simnet, "catch_up", counting)
+    assert verify_run(run) == []
+    assert calls == len(distinct) < len(run.nodes)
+
+
+def test_verify_run_reports_every_node_of_a_shared_tree():
+    run = run_scenario(ScenarioConfig(depth=3, committee=5, rounds=1, seed=3))
+    never_synced = [node for node in run.nodes if node.last_seq == 0]
+    assert len(never_synced) == 4
+    # two nodes edited alike share one catch-up; both must be reported.  No
+    # event writes index 7, so catching up keeps the edit
+    for node in never_synced[:2]:
+        node.local_tree.set_account(7, Account(7, never_synced[0].keypair.pk, 1))
+    assert verify_run(run) == [f"{node.name} local root diverges after sync"
+                               for node in never_synced[:2]]
 
 
 def test_only_votes_sent_are_signed(monkeypatch):
