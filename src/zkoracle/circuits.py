@@ -408,8 +408,13 @@ def build_slash_witness(tree: StateTree, agg_index: int, victim_vote, request_id
     """Stage a slash instance; the victim's vote must dissent from the answer."""
     if victim_vote.block_hash % P == majority_hash:
         raise NotSlashable("vote matches the majority answer")
+    return _stage_slash(tree.copy(), agg_index, victim_vote, request_id, majority_hash)
 
-    work = tree.copy()
+
+def _stage_slash(work, agg_index, victim_vote, request_id, majority_hash):
+    """The staging half of build_slash_witness, without its guard: it moves
+    the victim's balance to the aggregator on work itself, so a node chaining
+    slashes stages each on the tree the previous one left, with no copy."""
     pre_root = work.root
     val_index = victim_vote.validator_index
 

@@ -529,7 +529,7 @@ def _reads_back(field_type: type, value) -> bool:
     a float field a finite int or float, and a str field a string."""
     try:
         text = str(value)  # ValueError: an int too long to write
-        return not any(c.isspace() or c == "=" for c in text) \
+        return "=" not in text and not any(map(str.isspace, text)) \
             and _DECODERS[field_type](text) == value
     except ValueError:
         return False

@@ -28,6 +28,13 @@ the one that returns the affine result.  Both multipliers are combs:
   A point seen once pays the 204 doublings of its table on top, which is
   about what the per-call 4-bit windows it replaced cost.
 
+Both products are memoized, 16 384 entries each, because the protocol
+multiplies the same keys and re-checks the same signatures: ``scalar_mul``
+over (k, point), and ``scalar_mul_base`` over k for keygen, a signer's public
+key and a check's s*G.  ``comb_mul_base`` is the same comb walk without the
+memo, for a scalar multiplied once: a signature's nonce, whose point is never
+multiplied again and would only push recurring entries out of the memo.
+
 Signature checks compare s*G with R + c*pk projectively: ``add_projective``
 returns R + c*pk as (X, Y, Z) with Z = (1 + dxy)(1 - dxy), and the check is
 s*G.x * Z = X and s*G.y * Z = Y, so a warm check makes no inversion.  Z is
@@ -214,6 +221,7 @@ def _ext_add_affine(p, q):
 
 # protocol hot paths re-verify identical signatures (vote intake, slash
 # building, proof verification); both multiplications are pure, so memoize them
+# (scalar_mul_base below, after its comb walk)
 @lru_cache(maxsize=1 << 14)
 def scalar_mul(k: int, p: Point) -> Point:
     """k*P for any point: one doubling and at most one addition per comb
@@ -264,10 +272,10 @@ def _base_comb() -> list:
 _BASE_COMB = _base_comb()
 
 
-@lru_cache(maxsize=1 << 14)
-def scalar_mul_base(k: int) -> Point:
+def comb_mul_base(k: int) -> Point:
     """k*GENERATOR: one mixed addition per nonzero signed 6-bit digit of k,
-    a negative digit adding the negated entry (-x, y, -D*x*y)."""
+    a negative digit adding the negated entry (-x, y, -D*x*y).  Not memoized,
+    for a scalar multiplied once, such as a signature's nonce."""
     k %= L
     if k == 0:
         return IDENTITY
@@ -285,6 +293,13 @@ def scalar_mul_base(k: int) -> Point:
         elif digit:
             acc = _ext_add_affine(acc, row[digit - 1])
     return _from_ext(acc)
+
+
+@lru_cache(maxsize=1 << 14)
+def scalar_mul_base(k: int) -> Point:
+    """k*GENERATOR through the memo, for the scalars that recur: secret keys
+    and the s of a signature checked more than once."""
+    return comb_mul_base(k)
 
 
 # two scalars whose signed digits are nonzero in every row, so the check reads
@@ -305,7 +320,7 @@ def _check_parameters() -> None:
     if scalar_mul(2, GENERATOR) == IDENTITY:
         raise InvalidPoint("generator has low order")
     for k in _CHECK_SCALARS:
-        if scalar_mul_base(k) != scalar_mul(k, GENERATOR):
+        if comb_mul_base(k) != scalar_mul(k, GENERATOR):
             raise InvalidPoint("fixed-base comb disagrees with the variable-base multiplier")
 
 

@@ -4,7 +4,9 @@ The challenge is a MiMC hash, which keeps the whole verification equation
 native to the arithmetic circuits.  The nonce is never checked by a circuit,
 so it is derived as RFC 8032 section 5.1.6 derives it: SHA-512 over the
 secret key and the message.  Signing is deterministic, carries no RNG state
-and spends no MiMC permutation on the nonce.
+and spends no MiMC permutation on the nonce.  The nonce point R = k*G skips
+the fixed-base memo, since no later call multiplies k again; the public key
+sk*G and a check's s*G go through it, as they recur.
 
 The challenge hashes the signer's key first and R and the message after it.
 MiMC's Miyaguchi-Preneel chain then opens with the same two permutations for
@@ -66,7 +68,7 @@ def sign(sk: int, msg: int) -> Signature:
         raise InvalidKey("secret key out of range")
     k = nonce(sk, msg)
     pk = curve.scalar_mul_base(sk)
-    r = curve.scalar_mul_base(k)
+    r = curve.comb_mul_base(k)  # a fresh nonce's point recurs nowhere: no memo entry
     s = (k + challenge(r, pk, msg) * sk) % L
     return Signature(r, s)
 

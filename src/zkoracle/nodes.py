@@ -2,18 +2,21 @@
 
 Every node is a single-threaded event processor over immutable messages; its
 account tree is mutated only by its own sync loop, replaying the contract's
-event log.  Votes are immutable values; the aggregator keeps the first
-accepted vote per validator and request, packages votes in ascending validator
-index, and hands over each witness builder's public inputs with the proof
-`circuits.prove` makes of them, so independent nodes produce bit-identical
-submissions from the same log and chain view.  After it has submitted, it
-stores votes for its answer without checking their signatures, and never
-packages them.  A request's votes are one map from validator index to
-(vote, key), the key being the one the vote's signature was checked under, or
-None while it is unchecked; the node drops the map with the request's answer
-once it has built the request's slashes.  catch_up is the one way a tree
+event log.  A node holds no tree until its first sync: validators only
+vote, so only the nodes that aggregate pay for one.  Votes are immutable
+values; the aggregator keeps the first accepted vote per validator and
+request, packages votes in ascending validator index, and hands over each
+witness builder's public inputs with the proof `circuits.prove` makes of
+them, so independent nodes produce bit-identical submissions from the same
+log and chain view.  After it has submitted, it stores votes for its answer
+without checking their signatures, and never packages them.  A request's
+votes are one map from validator index to (vote, key), the key being the one
+the vote's signature was checked under, or None while it is unchecked; the
+node drops the map with the request's answer once it has built the request's
+slashes.  catch_up is the one way a tree
 follows the contract's log, for a node's own sync and for a check of it on a
-copy.
+copy, or on a fresh tree for a node that never synced.  build_slashes stages
+its slashes one after another on one working copy of the tree.
 """
 
 from collections import Counter
@@ -22,7 +25,7 @@ from typing import Optional
 
 from . import circuits, eddsa
 from .circuits import AGGREGATION, SLASH, TRANSPARENT, vote_message_inputs
-from .contract import Params, apply_event_to_tree, apply_slash_transfer
+from .contract import Params, apply_event_to_tree
 from .errors import CorruptLog, OracleError
 from .eddsa import Signature
 from .field import P
@@ -76,7 +79,7 @@ class OracleNode:
         self.keypair = keypair
         self.params = params
         self.index: Optional[int] = None  # assigned when registered on-chain
-        self.local_tree = StateTree(params.depth)
+        self.local_tree: Optional[StateTree] = None  # created by the first sync
         self.last_seq = 0
         # request_id -> {validator_index: (first accepted vote, the key its
         # signature was checked under or None)}; build_slashes drops the request
@@ -86,9 +89,11 @@ class OracleNode:
     # -- state sync -------------------------------------------------------
 
     def sync(self, events) -> None:
-        """Catch up on events past last_seq; afterwards the local root equals
-        the contract root at that seq.  On CorruptLog, last_seq counts the
-        events applied before it."""
+        """Catch up on events past last_seq, creating the local tree at the
+        first call; afterwards the local root equals the contract root at that
+        seq.  On CorruptLog, last_seq counts the events applied before it."""
+        if self.local_tree is None:
+            self.local_tree = StateTree(self.params.depth)
         for self.last_seq in catch_up(self.local_tree, events, self.last_seq):
             pass
 
@@ -113,7 +118,9 @@ class OracleNode:
         its validator for the request and is authenticated by the key
         registered at its index.  Returns (accepted, reason).  The vote is
         stored as (vote, key) in `votes[vote.request_id]`, key being the
-        registered key its signature was checked under.
+        registered key its signature was checked under.  A node that has
+        never synced knows no registration, so every in-range vote is from an
+        unregistered validator to it.
 
         Once this node has submitted an answer, a vote for that answer can be
         neither packaged nor slashed, so it is stored with its signature
@@ -125,6 +132,8 @@ class OracleNode:
             return False, "index-out-of-range"
         if not 0 <= vote.block_hash < P:
             return False, "block-hash-out-of-range"
+        if self.local_tree is None:
+            return False, "unregistered-validator"
         account = self.local_tree.account(vote.validator_index)
         if account.is_empty():
             return False, "unregistered-validator"
@@ -168,10 +177,12 @@ class OracleNode:
         """(SlashPublic, Proof) for every provably dissenting vote, ascending
         victim index; each pre-root is the previous post-root.  The last read
         of the request's votes, so it drops them and the request's answer."""
-        slashes = []
-        work = self.local_tree.copy()
         stored = self.votes.pop(request_id, {})
         self.answered.pop(request_id, None)
+        if self.local_tree is None:
+            return []  # a node that never synced stored no vote
+        slashes = []
+        work = self.local_tree.copy()
         for index, (vote, key) in sorted(stored.items()):
             if vote.block_hash == answer_hash or index == self.index:
                 continue
@@ -179,8 +190,8 @@ class OracleNode:
             # a vote checked under the index's current key needs no second check
             if pubkey != key and not signed_by(pubkey, vote):
                 continue  # an unauthenticated vote cannot be proven in-circuit
-            public, witness = circuits.build_slash_witness(
+            # stages the transfer on work, where the next slash starts
+            public, witness = circuits._stage_slash(
                 work, self.index, vote, request_id, answer_hash)
             slashes.append((public, circuits.prove(TRANSPARENT, SLASH, public, witness)))
-            apply_slash_transfer(work, self.index, index)
         return slashes

@@ -5,10 +5,11 @@ source chain and the message bus.  A request is a loop over aggregator
 attempts that never overlap: each attempt's votes go to that attempt's
 aggregator, which hears them in arrival order, ties in send order, until it
 submits or its deadline passes.  The same (config, seed) therefore always
-produces byte-identical metrics and event logs.  verify_run checks a finished
-run without changing it: it catches up a copy of one node's tree per distinct
-(last_seq, local root) pair, so only the nodes that aggregated keep a synced
-tree.
+produces byte-identical metrics and event logs.  A node syncs only when it
+aggregates, and its tree is made at its first sync, so only the nodes that
+aggregated hold a tree at all.  verify_run checks a finished run without
+changing it: it catches up a copy of one node's tree, or a fresh tree for the
+nodes that never synced, per distinct (last_seq, local root) pair.
 """
 
 import json
@@ -22,6 +23,7 @@ from .circuits import AGGREGATION, SLASH, constraint_count
 from .contract import MAX_LOG_DEPTH, MIN_STAKE, Contract, Params, conservation_trace
 from .errors import ConfigError
 from .field import P
+from .merkle import EMPTY_NODES, StateTree
 from .mimc import mimc_hash
 from .nodes import FINALITY, OracleNode, catch_up, make_vote
 
@@ -387,20 +389,24 @@ def verify_run(run: ScenarioRun) -> list:
     """Conservation, replayability and the scenario's safety expectation.
 
     Each node's tree, caught up from its own last_seq, must reach the
-    contract root.  Nodes with the same last_seq and local root reach the
-    same tree, so one catch-up per distinct pair decides for all of them;
+    contract root; a node that never synced holds no tree and stands for an
+    empty one at seq 0.  Nodes with the same last_seq and local root reach
+    the same tree, so one catch-up per distinct pair decides for all of them;
     at n256 the 255 nodes that never aggregated share one.  The catch-up runs
-    on a copy that is dropped before the next, so verify_run changes no node
-    and a second call returns the same list.  Returns a list of
+    on a copy, or on a fresh tree for a never-synced node, that is dropped
+    before the next, so verify_run changes no node, gives none a tree, and a
+    second call returns the same list.  Returns a list of
     human-readable violations; empty means the run holds.
     """
     contract = run.contract
     problems = conservation_trace(contract)
     reaches = {}  # (last_seq, local root) -> catching up reaches the contract root
     for node in run.nodes:
-        key = (node.last_seq, node.local_tree.root)
+        synced = node.local_tree
+        root = EMPTY_NODES[node.params.depth] if synced is None else synced.root
+        key = (node.last_seq, root)
         if key not in reaches:
-            tree = node.local_tree.copy()
+            tree = StateTree(node.params.depth) if synced is None else synced.copy()
             for _ in catch_up(tree, contract.events, node.last_seq):
                 pass
             reaches[key] = tree.root == contract.state_root

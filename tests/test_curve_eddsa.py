@@ -245,6 +245,18 @@ def test_nonce_deterministic_in_range_and_bound_to_key_and_message():
     assert eddsa.sign(sks[0], msgs[0]).r == curve.scalar_mul_base(eddsa.nonce(sks[0], msgs[0]))
 
 
+def test_sign_leaves_the_fixed_base_memo_as_keygen_left_it():
+    """A nonce's point is multiplied once, so sign keeps it out of the
+    scalar_mul_base memo; the key's product is already there."""
+    scalar_mul_base.cache_clear()
+    kp = eddsa.keygen(b"\x0b" * 32)
+    assert scalar_mul_base.cache_info()[1:] == (1, 1 << 14, 1)  # misses, max, size
+    for msg in range(5):
+        sig = eddsa.sign(kp.sk, msg)
+        assert sig.r == ref_scalar_mul_base(eddsa.nonce(kp.sk, msg))
+    assert scalar_mul_base.cache_info() == (5, 1, 1 << 14, 1)  # one hit per pk lookup
+
+
 def test_sign_hashes_only_the_challenge_with_mimc(monkeypatch):
     kp = eddsa.keygen(b"\x08" * 32)
     hashed = []

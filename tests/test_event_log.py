@@ -9,8 +9,8 @@ import pytest
 from helpers import honest_votes
 from zkoracle import eddsa
 from zkoracle.circuits import AGGREGATION, build_aggregation_witness, prove
-from zkoracle.contract import (Contract, Params, apply_slash_transfer, dump_log,
-                               parse_log, replay)
+from zkoracle.contract import (Contract, Params, _reads_back, apply_slash_transfer,
+                               dump_log, parse_log, replay)
 from zkoracle.curve import Point
 from zkoracle.errors import CorruptLog, InvalidInput
 from zkoracle.field import P
@@ -58,6 +58,17 @@ def test_unloggable_strings_rejected_at_entry(bad):
                          contract.prove(0))
     assert len(contract.events) == 1
     assert dump_log(roundtrip(contract)) == dump_log(contract)
+
+
+def test_str_token_check_matches_the_per_character_scan():
+    """_reads_back reads a string as one token iff no character in it is
+    whitespace or '=', the per-character scan it replaced, for every code
+    point of the Basic Multilingual Plane alone and inside a token."""
+    for code in range(0x10000):
+        c = chr(code)
+        expected = not (c.isspace() or c == "=")
+        assert _reads_back(str, c) == expected, hex(code)
+        assert _reads_back(str, f"a{c}b") == expected, hex(code)
 
 
 def test_values_of_another_type_rejected_at_entry():

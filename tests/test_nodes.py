@@ -7,11 +7,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from zkoracle import eddsa, mimc
+from zkoracle import circuits, eddsa, mimc
+from zkoracle.circuits import SLASH
 from zkoracle.contract import Contract, Params, apply_slash_transfer
 from zkoracle.curve import L
 from zkoracle.errors import CorruptLog
 from zkoracle.field import P
+from zkoracle.merkle import StateTree
 from zkoracle.nodes import OracleNode, make_vote, signed_by, vote_message
 from zkoracle.simnet import MockChain, ScenarioConfig, run_scenario
 
@@ -191,6 +193,17 @@ def test_on_vote_rejects_unregistered():
     vote = make_vote(stranger.sk, 6, 0, 123)
     accepted, reason = nodes[0].on_vote(vote)
     assert not accepted and reason == "unregistered-validator"
+
+
+def test_never_synced_node_rejects_a_valid_vote_as_unregistered():
+    contract, nodes = committee_with_contract(Params(depth=3), count=4)
+    idle = make_node(9, contract.params)
+    assert idle.local_tree is None
+    vote = make_vote(nodes[1].keypair.sk, 1, 0, 123)
+    assert nodes[0].on_vote(vote) == (True, None)
+    assert idle.on_vote(vote) == (False, "unregistered-validator")
+    assert idle.votes == {} and idle.try_submit(0) is None
+    assert idle.build_slashes(0, 456) == [] and idle.local_tree is None
 
 
 def test_on_vote_rejects_bad_signature():
@@ -425,6 +438,41 @@ def test_build_slashes_rechecks_no_vote(monkeypatch):
     assert sum(r.slashes for r in run.metrics.rows) > 0
     assert callers.count("on_vote") > 0
     assert callers.count("build_slashes") == 0
+
+
+def test_build_slashes_copies_its_tree_once(monkeypatch):
+    """build_slashes stages each slash on its one working copy.  Against the
+    path it replaced, which staged on a copy of that copy and then repeated
+    the transfer, every slash saves one StateTree.copy, and the slash proofs
+    keep their bytes."""
+    real_copy, real_prove, real_stage = StateTree.copy, circuits.prove, circuits._stage_slash
+
+    def observed_run():
+        copies, slash_payloads = [], []
+
+        def prove(backend, circuit, public, witness):
+            proof = real_prove(backend, circuit, public, witness)
+            if circuit == SLASH:
+                slash_payloads.append(proof.payload)
+            return proof
+
+        monkeypatch.setattr(StateTree, "copy",
+                            lambda tree: copies.append(1) or real_copy(tree))
+        monkeypatch.setattr(circuits, "prove", prove)
+        run = run_scenario(FAULTS)
+        return sum(r.slashes for r in run.metrics.rows), len(copies), slash_payloads
+
+    def copy_then_transfer(work, agg_index, vote, request_id, answer_hash):
+        staged = real_stage(work.copy(), agg_index, vote, request_id, answer_hash)
+        apply_slash_transfer(work, agg_index, vote.validator_index)
+        return staged
+
+    slashes, copies, payloads = observed_run()
+    monkeypatch.setattr(circuits, "_stage_slash", copy_then_transfer)
+    old_slashes, old_copies, old_payloads = observed_run()
+    assert slashes == old_slashes > 0
+    assert old_copies - copies == slashes
+    assert payloads == old_payloads
 
 
 @pytest.mark.parametrize("config, timed_out", [

@@ -219,16 +219,30 @@ def test_equivocate_and_duplicate_behaviors():
 # -- post-run verification ----------------------------------------------------
 
 
+def _node_states(run):
+    return [(node.last_seq, node.local_tree and dump_snapshot(node.local_tree))
+            for node in run.nodes]
+
+
+def test_only_nodes_that_synced_hold_a_tree():
+    run = run_scenario(ScenarioConfig(depth=4, committee=16, rounds=3, seed=27))
+    synced = [node.index for node in run.nodes if node.last_seq > 0]
+    assert 0 < len(synced) < len(run.nodes)
+    assert [node.index for node in run.nodes if node.local_tree is not None] == synced
+    assert verify_run(run) == []
+    assert [node.index for node in run.nodes if node.local_tree is not None] == synced
+
+
 def test_verify_run_changes_no_node():
     run = run_scenario(ScenarioConfig(depth=4, committee=16, rounds=3, seed=27))
-    before = [(node.last_seq, dump_snapshot(node.local_tree)) for node in run.nodes]
+    # a never-synced node's state is (0, None): it holds no tree
+    before = _node_states(run)
     aggregators = {e.payload["agg_index"] for e in run.contract.events
                    if e.kind == "BlockSubmitted"}
     assert {node.index for node in run.nodes if node.last_seq > 0} == aggregators
     problems = verify_run(run)
     assert problems == []
-    assert [(node.last_seq, dump_snapshot(node.local_tree))
-            for node in run.nodes] == before
+    assert _node_states(run) == before
     assert verify_run(run) == problems
 
 
@@ -244,7 +258,9 @@ def test_verify_run_reports_a_diverged_node():
 
 def test_verify_run_catches_up_once_per_distinct_tree(monkeypatch):
     run = run_scenario(ScenarioConfig(depth=4, committee=16, rounds=3, seed=27))
-    distinct = {(node.last_seq, node.local_tree.root) for node in run.nodes}
+    # the never-synced nodes, which hold no tree, share the key (0, None)
+    distinct = {(node.last_seq, node.local_tree and node.local_tree.root)
+                for node in run.nodes}
     calls = 0
     catch_up = simnet.catch_up
 
@@ -262,9 +278,12 @@ def test_verify_run_reports_every_node_of_a_shared_tree():
     run = run_scenario(ScenarioConfig(depth=3, committee=5, rounds=1, seed=3))
     never_synced = [node for node in run.nodes if node.last_seq == 0]
     assert len(never_synced) == 4
-    # two nodes edited alike share one catch-up; both must be reported.  No
-    # event writes index 7, so catching up keeps the edit
+    # two nodes synced to the same seq and edited alike share one catch-up;
+    # both must be reported.  No event writes index 7, so catching up keeps
+    # the edit
+    registrations = run.contract.events[:len(run.nodes)]
     for node in never_synced[:2]:
+        node.sync(registrations)
         node.local_tree.set_account(7, Account(7, never_synced[0].keypair.pk, 1))
     assert verify_run(run) == [f"{node.name} local root diverges after sync"
                                for node in never_synced[:2]]
