@@ -4,7 +4,8 @@ a*x^2 + y^2 = 1 + d*x^2*y^2 with a = 168700, d = 168696.  GENERATOR spans the
 prime-order subgroup of order L (cofactor 8 removed).  The published constants
 are re-verified at import: on-curve, L*G = identity, 2*G != identity, and the
 fixed-base comb agrees with the variable-base multiplier on two scalars that
-read every row of it with both signs.
+read every row of it with both signs, and on two that read every entry of
+G's variable-base table with both signs.
 
 Scalar multiplication runs in extended coordinates (Hisil, Wong, Carter,
 Dawson, *Twisted Edwards curves revisited*, 2008), so the only inversion is
@@ -18,15 +19,21 @@ the one that returns the affine result.  Both multipliers are combs:
   42, and no doubling.  The 1344 entries are affine (x, y, d*x*y) triples
   from one batched inversion, about 0.26 MB, built at import in about 20 ms
   on a 2-core x86 VM;
-- ``scalar_mul`` reads a Lim-Lee comb of its point (Lim, Lee, *More flexible
-  exponentiation with precomputation*, CRYPTO '94): k < L is cut into 5 rows
-  of 51 bits, and the point's 32-entry table holds every sum of 2^(51 i) * p
-  over a subset of the rows, so k*p is 51 doublings and at most 51 additions.
+- ``scalar_mul`` reads a signed Lim-Lee comb of its point (Lim, Lee, *More
+  flexible exponentiation with precomputation*, CRYPTO '94; Hamburg, *Fast
+  and compact elliptic-curve cryptography*, 2012).  An odd k < L is the sum
+  of d_i * 2^i over i < 255 with every digit d_i = +-1, where bit i of
+  m = (k + 2^255 - 1) / 2 sets d_i = +1; the digits form 5 rows of 51
+  columns.  Entry j of the point's 16-entry table is tooth 0 plus or minus
+  each tooth r >= 1, tooth r being 2^(51 r) * p, and a column whose row-0
+  digit is -1 adds the negation of an entry, which is free.  So k*p is 51
+  doublings and 51 mixed additions.  An even k walks k + 1 and adds -p once,
+  never k + L, because (k + L)*p != k*p for a point of order 2, 4 or 8.
   Tables are affine (x, y, d*x*y) triples, one batched inversion per table,
-  about 8 KB per point, and an LRU cache keeps 512 of them: the points
+  about 4 KB per point, and an LRU cache keeps 512 of them: the points
   multiplied are committee keys, which recur from one request to the next.
-  A point seen once pays the 204 doublings of its table on top, which is
-  about what the per-call 4-bit windows it replaced cost.
+  A point seen once pays the 204 doublings and 30 additions of its table on
+  top, which is about what the per-call 4-bit windows it replaced cost.
 
 Both products are memoized, 16 384 entries each, because the protocol
 multiplies the same keys and re-checks the same signatures: ``scalar_mul``
@@ -163,27 +170,34 @@ def _ext_double(p):
 
 
 # -- variable-base comb ---------------------------------------------------------
-# Lim-Lee with 5 teeth: k < L has 251 bits, cut into 5 rows of 51 columns, and
-# entry j of a point's table is the sum of 2^(51 i) * p over the set bits i of j.
+# Signed Lim-Lee with 5 teeth: an odd k < L is the sum of d_i * 2^i over
+# i < 255 with every d_i = +-1, read as 5 rows of 51 columns, and entry j of a
+# point's table is tooth 0 plus or minus each tooth r >= 1, where tooth r is
+# 2^(51 r) * p and the sign is + where bit r - 1 of j is set.
 
 _TEETH = 5
 _COLUMNS = -(-L.bit_length() // _TEETH)
 _COLUMN_MASK = (1 << _COLUMNS) - 1
+_ENTRY_MASK = (1 << (_TEETH - 1)) - 1
+_DIGITS = _TEETH * _COLUMNS
+# m = (k + _RECODE) / 2 has bit i set where d_i = +1
+_RECODE = (1 << _DIGITS) - 1
 
 
-@lru_cache(maxsize=1 << 9)  # two full depth-8 committees
+# room for two depth-8 committees; in practice the second is perfbench's
+# reference run
+@lru_cache(maxsize=1 << 9)
 def _comb_table(p: Point) -> tuple:
-    """The 32 comb entries of p as affine (x, y, D*x*y), built with 204
-    doublings, 26 additions and one batched inversion."""
-    teeth = [_to_ext(p)]
+    """The 16 comb entries of p as affine (x, y, D*x*y), built with 204
+    doublings, 30 additions and one batched inversion."""
+    tooth = _to_ext(p)
+    ext = [tooth]
     for _ in range(_TEETH - 1):
-        e = teeth[-1]
         for _ in range(_COLUMNS):
-            e = _ext_double(e)
-        teeth.append(e)
-    ext = [_EXT_IDENTITY]
-    for tooth in teeth:
-        ext += [tooth] + [_ext_add(e, tooth) for e in ext[1:]]
+            tooth = _ext_double(tooth)
+        x, y, z, t = tooth
+        neg = (-x, y, z, -t)  # _ext_add reduces every product mod P
+        ext = [_ext_add(e, neg) for e in ext] + [_ext_add(e, tooth) for e in ext]
     return tuple(_batch_affine(ext))
 
 
@@ -224,21 +238,29 @@ def _ext_add_affine(p, q):
 # (scalar_mul_base below, after its comb walk)
 @lru_cache(maxsize=1 << 14)
 def scalar_mul(k: int, p: Point) -> Point:
-    """k*P for any point: one doubling and at most one addition per comb
-    column, most significant first, over p's cached table."""
+    """k*P for any point: one doubling and one addition per comb column, most
+    significant first, over p's cached table.  An even k walks k + 1 and adds
+    -p once; k + L would not do, as (k + L)*p differs from k*p for a point p
+    outside the prime-order subgroup."""
     k %= L
     if k == 0:
         return IDENTITY
     table = _comb_table(p)
-    rows = [(k >> (i * _COLUMNS)) & _COLUMN_MASK for i in range(_TEETH)]
+    # m's binary string puts each column's 5 bits 51 characters apart, row 4
+    # first, so int() reads a column as the sum of its row-i bit << i
+    bits = format(((k | 1) + _RECODE) >> 1, f"0{_DIGITS}b")
     acc = _EXT_IDENTITY
-    for col in range(_COLUMNS - 1, -1, -1):
+    for col in range(_COLUMNS):  # most significant column first
         acc = _ext_double(acc)
-        j = 0
-        for i, row in enumerate(rows):
-            j |= (row >> col & 1) << i
-        if j:
-            acc = _ext_add_affine(acc, table[j])
+        v = int(bits[col::_COLUMNS], 2)
+        if v & 1:
+            acc = _ext_add_affine(acc, table[v >> 1])
+        else:  # digit -1 on tooth 0: add the negation of the mirrored entry
+            x, y, dxy = table[v >> 1 ^ _ENTRY_MASK]
+            acc = _ext_add_affine(acc, (-x, y, -dxy))
+    if not k & 1:
+        x, y = p
+        acc = _ext_add_affine(acc, (-x, y, -D * x % P * y % P))
     return _from_ext(acc)
 
 
@@ -311,6 +333,16 @@ _CHECK_SCALARS = tuple(
     + (20 << _WINDOW * (_BASE_ROWS - 1))
     for sign in (1, -1))
 
+# two scalars whose variable-base walks read every entry of a key's table, the
+# first as is and the second negated: in both walks rows 1-4 of column c < 16
+# spell c and the top bit, set for every k < L, is the only other set bit of
+# rows 1-4; row 0 is all ones in the first walk and all zeros in the second,
+# whose scalar is even, so it walks k + 1 and takes the -p fix-up too
+_KEY_ROWS = (1 << (_DIGITS - 1)) | sum(
+    (c >> (r - 1) & 1) << (r * _COLUMNS + c)
+    for c in range(_ENTRY_MASK + 1) for r in range(1, _TEETH))
+_CHECK_KEY_SCALARS = (2 * (_KEY_ROWS | _COLUMN_MASK) - _RECODE, 2 * _KEY_ROWS - _RECODE - 1)
+
 
 def _check_parameters() -> None:
     if not is_on_curve(GENERATOR):
@@ -319,7 +351,7 @@ def _check_parameters() -> None:
         raise InvalidPoint("generator does not have order L")
     if scalar_mul(2, GENERATOR) == IDENTITY:
         raise InvalidPoint("generator has low order")
-    for k in _CHECK_SCALARS:
+    for k in _CHECK_SCALARS + _CHECK_KEY_SCALARS:
         if comb_mul_base(k) != scalar_mul(k, GENERATOR):
             raise InvalidPoint("fixed-base comb disagrees with the variable-base multiplier")
 

@@ -104,18 +104,39 @@ def test_comb_doubles_once_per_column_and_builds_one_table_per_point(monkeypatch
 
     doublings = 0
     ext_double = curve._ext_double
+    additions = {"_ext_add": 0, "_ext_add_affine": 0}
 
     def counting_double(e):
         nonlocal doublings
         doublings += 1
         return ext_double(e)
 
+    def counting(name):
+        kernel = getattr(curve, name)
+
+        def counted(p, q):
+            additions[name] += 1
+            return kernel(p, q)
+        return counted
+
     monkeypatch.setattr(curve, "_ext_double", counting_double)
+    for name in additions:
+        monkeypatch.setattr(curve, name, counting(name))
     scalar_mul(rng.randrange(1, L), keys[0])  # warm: one doubling per column
     assert doublings == curve._COLUMNS == 51
     doublings = 0
+    additions.update(dict.fromkeys(additions, 0))
     scalar_mul(rng.randrange(1, L), ORDER_8)  # cold: 4 teeth of 51 doublings first
     assert doublings == 5 * 51
+    assert additions["_ext_add"] == 2 + 4 + 8 + 16  # one per entry past tooth 0
+    assert len(curve._comb_table(keys[0])) == len(curve._comb_table(ORDER_8)) == 16
+
+    # warm: one mixed addition per column, and one more to subtract p from
+    # the walk of k + 1 for an even k
+    for parity, mixed in ((1, 51), (0, 52)):
+        additions.update(dict.fromkeys(additions, 0))
+        scalar_mul(rng.randrange(1, L // 2) * 2 + parity, keys[0])
+        assert additions == {"_ext_add": 0, "_ext_add_affine": mixed}, parity
 
 
 def test_add_matches_reference_on_and_off_curve():
@@ -194,6 +215,68 @@ def test_corrupt_comb_table_fails_the_import_check(monkeypatch):
         finally:
             monkeypatch.undo()
             scalar_mul_base.cache_clear()
+
+
+def key_comb_reads(k):
+    """(entry, negated) for each column of the variable-base walk of k mod L,
+    from its signed binary digits: the walk reads k + 1 for an even k."""
+    walked = k % L | 1
+    m = (walked + (1 << 255) - 1) // 2
+    digits = [2 * (m >> i & 1) - 1 for i in range(255)]
+    assert sum(d << i for i, d in enumerate(digits)) == walked
+    reads = []
+    for col in range(curve._COLUMNS):
+        tooth0, *rest = (digits[r * curve._COLUMNS + col] for r in range(curve._TEETH))
+        # entry j adds tooth r where bit r - 1 of j is set; a column whose
+        # tooth-0 digit is -1 reads the negation of its mirrored sum
+        j = sum(1 << r for r, d in enumerate(rest) if d == tooth0)
+        reads.append((j, tooth0 < 0))
+    return reads
+
+
+def test_key_check_scalars_read_every_entry_with_both_signs():
+    plain, negated = curve._CHECK_KEY_SCALARS
+    assert plain % 2 == 1 and negated % 2 == 0 and negated < plain < L
+    assert set(key_comb_reads(plain)) == {(j, False) for j in range(16)}
+    assert set(key_comb_reads(negated)) == {(j, True) for j in range(16)}
+
+
+def test_corrupt_key_table_fails_the_import_check(monkeypatch):
+    # each key check scalar alone catches a corrupt entry 5 of GENERATOR's
+    # table, the first reading it as is and the second negated; the 2*G check
+    # never reads entry 5, so the comparison is what fails
+    entry = 5
+    assert all(j != entry for j, _ in key_comb_reads(2))
+    corrupt = list(curve._comb_table(GENERATOR))
+    corrupt[entry] = corrupt[entry ^ 1]
+    for k, negated in zip(curve._CHECK_KEY_SCALARS, (False, True)):
+        assert (entry, negated) in key_comb_reads(k)
+        monkeypatch.setattr(curve, "_comb_table", lambda p: corrupt)  # only G is multiplied
+        monkeypatch.setattr(curve, "_CHECK_SCALARS", ())
+        monkeypatch.setattr(curve, "_CHECK_KEY_SCALARS", (k,))
+        scalar_mul.cache_clear()
+        try:
+            with pytest.raises(InvalidPoint, match="disagrees"):
+                curve._check_parameters()
+        finally:
+            monkeypatch.undo()
+            scalar_mul.cache_clear()
+
+
+def test_even_and_odd_scalars_match_reference_off_the_subgroup():
+    # (k + L)*p = k*p only in the prime-order subgroup: an even k must not be
+    # walked as k + L, so check both parities on points of order 1, 2, 4 and
+    # 8 and on a key shifted out of the subgroup
+    rng = random.Random(27)
+    pk = ref_scalar_mul_base(rng.randrange(1, L))
+    points = [*TORSION, ref_add(ORDER_8, ORDER_8), ORDER_8, ref_add(pk, ORDER_8)]
+    scalars = list(range(1, 10)) + [L - 1, L - 2, L + 2, 2 * L - 1]
+    scalars += [rng.randrange(1, L // 2) * 2 + parity for parity in (0, 1) for _ in range(3)]
+    for pt in points:
+        for k in scalars:
+            curve._comb_table.cache_clear()
+            scalar_mul.cache_clear()
+            assert scalar_mul(k, pt) == ref_scalar_mul(k, pt), (k, pt)
 
 
 def test_keygen_on_curve_and_deterministic():
