@@ -31,11 +31,13 @@ names the backend in every call.  The contract and the nodes reach it only
 through those two functions, with the id `TRANSPARENT`.  Because a
 transparent proof publishes its witness, no witness holds a secret: only
 accounts, Merkle paths and the votes, each with the signature its validator
-already sent over the wire.
+already sent over the wire.  The witness is written as fixed-width
+field-element words, so every payload of a circuit at one depth has the same
+size (`payload_size`), a verifier refuses any other length unread, and a
+payload that decodes is the one encoding of its witness.
 """
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -431,112 +433,42 @@ def _stage_slash(work, agg_index, victim_vote, request_id, majority_hash):
     return public, witness
 
 
-# -- witness serialization (decimal JSON records) ----------------------------
-# Decoding is strict about keys and values: a record has exactly the keys
-# the encoder writes, a field element is the decimal string of a value in
-# [0, P), a signature's s is also below L, an index is a JSON integer (not
-# true or false), and a proof's directions are the low D bits of its
-# account's index.  Every decoder reads each key its encoder writes, so a
-# record of the encoder's length has no other key; that costs one len() per
-# record, where comparing key sets made a depth-4 decode 45 % slower.
+# -- witness serialization (fixed-width words) --------------------------------
+# A payload is the witness's field elements, each a 32-byte big-endian word
+# below P, with no keys, separators or length prefix.  A member record is the
+# index, pk.x, pk.y, balance, leaf and the D path siblings, leaf level first;
+# a vote record is a member record plus R.x, R.y, s and the claimed hash.  An
+# aggregation is the aggregator's member record and t vote records, a slash
+# the aggregator's and the victim's.  Directions are not written: a proof's
+# directions are the low D bits of its account's index, so the decoder derives
+# them.  Both circuits' payload sizes grow strictly with D, so a payload's
+# length names its depth, and every payload that decodes is the one encoding
+# of its witness.
 
-_EXTRA_KEY = "a record has a key its encoder never writes"
-
-
-def _elements(raws) -> list:
-    """Field elements, each the decimal string of a value in [0, P)."""
-    # join raises TypeError unless every entry is a str, and bytes.isdigit,
-    # unlike str.isdigit and int(), accepts ASCII digits only; one check for
-    # a whole record costs little next to its int() calls
-    if not "".join(raws).encode().isdigit():
-        raise ValueError("field elements are decimal strings")
-    values = list(map(int, raws))
-    if max(values) >= P:
-        raise ValueError("a field element is not below P")
-    return values
+WORD = 32
 
 
-def _point_obj(p: Point):
-    return [str(p.x), str(p.y)]
+def _member_words(account: Account, proof: MerkleProof) -> list:
+    return [account.index, *account.pubkey, account.balance, proof.leaf, *proof.path]
 
 
-def _coordinates(obj) -> list:
-    if type(obj) is not list or len(obj) != 2:
-        raise ValueError("a point is a list of two coordinates")
-    return obj
+def _vote_words(v: VoteWitness) -> list:
+    return [*_member_words(v.account, v.merkle_proof), *v.signature.r, v.signature.s,
+            v.claimed_block_hash]
 
 
-def _account_obj(a: Account):
-    return {"index": a.index, "pubkey": _point_obj(a.pubkey), "balance": str(a.balance)}
-
-
-def _proof_obj(p: MerkleProof):
-    return {"leaf": str(p.leaf), "path": [str(x) for x in p.path],
-            "directions": list(p.directions)}
-
-
-def _member_from(account_obj, proof_obj) -> tuple:
-    """An account and its Merkle proof."""
-    if len(account_obj) != 3 or len(proof_obj) != 3:
-        raise ValueError(_EXTRA_KEY)
-    index, path = account_obj["index"], proof_obj["path"]
-    if type(index) is not int:  # JSON true and false load as bools, which are ints
-        raise TypeError(f"index {index!r} is not an integer")
-    if type(path) is not list:
-        raise TypeError("a Merkle path is a list")
-    x, y, balance, leaf, *path = _elements(
-        [*_coordinates(account_obj["pubkey"]), account_obj["balance"], proof_obj["leaf"],
-         *path])
-    bits = [index >> d & 1 for d in range(len(path))]
-    directions = proof_obj["directions"]
-    if directions != bits or not all(type(d) is int for d in directions):
-        raise ValueError("directions must be the low bits of the account index")
+def _member_from(words, depth: int) -> tuple:
+    """An account and its Merkle proof from a member record's 5 + D words."""
+    index, x, y, balance, leaf, *path = words
     return (Account(index, Point(x, y), balance),
-            MerkleProof(leaf, tuple(path), tuple(bits)))
+            MerkleProof(leaf, tuple(path), tuple(index >> d & 1 for d in range(depth))))
 
 
-def _vote_witness_obj(v: VoteWitness):
-    return {"account": _account_obj(v.account), "proof": _proof_obj(v.merkle_proof),
-            "signature": {"r": _point_obj(v.signature.r), "s": str(v.signature.s)},
-            "block_hash": str(v.claimed_block_hash)}
-
-
-def _vote_witness_from(obj) -> VoteWitness:
-    signature = obj["signature"]
-    if len(obj) != 4 or len(signature) != 2:
-        raise ValueError(_EXTRA_KEY)
-    rx, ry, s, block_hash = _elements(
-        [*_coordinates(signature["r"]), signature["s"], obj["block_hash"]])
+def _vote_from(words, depth: int) -> VoteWitness:
+    *member, rx, ry, s, block_hash = words
     if s >= L:  # the circuit reduces s mod L, so (R, s + L) would verify too
         raise ValueError("signature scalar s is not below L")
-    return VoteWitness(*_member_from(obj["account"], obj["proof"]),
-                       Signature(Point(rx, ry), s), block_hash)
-
-
-def aggregation_witness_to_obj(w: AggregationWitness):
-    return {"aggregator": _account_obj(w.aggregator_account),
-            "aggregator_proof": _proof_obj(w.aggregator_proof),
-            "votes": [_vote_witness_obj(v) for v in w.votes]}
-
-
-def aggregation_witness_from_obj(obj) -> AggregationWitness:
-    if len(obj) != 3:
-        raise ValueError(_EXTRA_KEY)
-    return AggregationWitness(*_member_from(obj["aggregator"], obj["aggregator_proof"]),
-                              tuple(_vote_witness_from(v) for v in obj["votes"]))
-
-
-def slash_witness_to_obj(w: SlashWitness):
-    return {"aggregator": _account_obj(w.aggregator_account),
-            "aggregator_proof": _proof_obj(w.aggregator_proof),
-            "victim": _vote_witness_obj(w.victim)}
-
-
-def slash_witness_from_obj(obj) -> SlashWitness:
-    if len(obj) != 3:
-        raise ValueError(_EXTRA_KEY)
-    return SlashWitness(*_member_from(obj["aggregator"], obj["aggregator_proof"]),
-                        _vote_witness_from(obj["victim"]))
+    return VoteWitness(*_member_from(member, depth), Signature(Point(rx, ry), s), block_hash)
 
 
 AGGREGATION = "aggregation"
@@ -544,14 +476,63 @@ SLASH = "slash"
 TRANSPARENT = "transparent"  # the one backend's id
 
 
-def _payload(circuit_id: str, witness) -> bytes:
+def encode_witness(circuit_id: str, witness) -> bytes:
+    """The witness's words in record order, 32 bytes each."""
+    words = _member_words(witness.aggregator_account, witness.aggregator_proof)
+    for v in witness.votes if circuit_id == AGGREGATION else (witness.victim,):
+        words += _vote_words(v)
+    return b"".join(w.to_bytes(WORD, "big") for w in words)
+
+
+def payload_size(circuit_id: str, depth: int) -> int:
+    """Bytes in every payload of this circuit at depth D: the aggregator's
+    5 + D words plus 9 + D per vote record, t of them in an aggregation and
+    the victim's in a slash."""
+    votes = threshold(depth) if circuit_id == AGGREGATION else 1
+    return WORD * ((5 + depth) + votes * (9 + depth))
+
+
+# (circuit, payload length) -> the one depth in [1, MAX_LOG_DEPTH] that gives it
+_PAYLOAD_DEPTH = {(circuit_id, payload_size(circuit_id, depth)): depth
+                  for circuit_id in (AGGREGATION, SLASH)
+                  for depth in range(1, MAX_LOG_DEPTH + 1)}
+
+
+def _words(payload: bytes) -> list:
+    words = [int.from_bytes(payload[i:i + WORD], "big") for i in range(0, len(payload), WORD)]
+    if max(words) >= P:
+        raise ValueError("a word is not below P")
+    return words
+
+
+def decode_witness(circuit_id: str, payload: bytes):
+    """The witness a payload encodes, read from its bytes alone: ValueError
+    unless the payload is bytes of the length some depth gives this circuit,
+    every word is below P and every signature's s is below L.  An index is a
+    field element, so one at or above 2^D decodes and the circuit rejects it."""
+    if not isinstance(payload, bytes):
+        raise ValueError("a payload is bytes")
+    depth = _PAYLOAD_DEPTH.get((circuit_id, len(payload)))
+    if depth is None:
+        raise ValueError(f"no depth has a {len(payload)}-byte {circuit_id} payload")
+    words = _words(payload)
+    member, vote = 5 + depth, 9 + depth
+    aggregator = _member_from(words[:member], depth)
+    votes = [_vote_from(words[i:i + vote], depth) for i in range(member, len(words), vote)]
     if circuit_id == AGGREGATION:
-        obj = aggregation_witness_to_obj(witness)
-    elif circuit_id == SLASH:
-        obj = slash_witness_to_obj(witness)
-    else:
-        raise UnknownBackend(f"unknown circuit: {circuit_id}")
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+        return AggregationWitness(*aggregator, tuple(votes))
+    return SlashWitness(*aggregator, *votes)
+
+
+def _sized_for_bitmap(payload, bits) -> bool:
+    """Whether an aggregation payload is bytes of the size at the depth its
+    public bitmap names: t = 2^(D-1) + 1 flagged votes.  A payload of another
+    depth would run the circuit at that depth whatever the public, so it is
+    refused unread.  The bitmap must be an int, as the circuit's comparison
+    would take 7.0 for 7."""
+    if type(bits) is not int or not isinstance(payload, bytes):
+        return False
+    return len(payload) == payload_size(AGGREGATION, (bits.bit_count() - 1).bit_length())
 
 
 class TransparentBackend:
@@ -564,26 +545,22 @@ class TransparentBackend:
     backend_id = TRANSPARENT
 
     def prove(self, circuit_id: str, public, witness) -> Proof:
-        return Proof(self.backend_id, circuit_id, _payload(circuit_id, witness))
+        return Proof(self.backend_id, circuit_id, encode_witness(circuit_id, witness))
 
     def verify(self, circuit_id: str, public, proof: Proof) -> bool:
         if proof.backend_id != self.backend_id or proof.circuit_id != circuit_id:
             return False
         if circuit_id not in (AGGREGATION, SLASH):
             raise UnknownBackend(f"unknown circuit: {circuit_id}")
-        try:
-            # an oversize payload is refused unread: trailing spaces keep its JSON
-            if len(proof.payload) > _payload_bound(circuit_id, public):
-                return False
-            obj = json.loads(proof.payload)
-            if circuit_id == AGGREGATION:
-                report = check_aggregation(public, aggregation_witness_from_obj(obj))
-            else:
-                report = check_slash(public, slash_witness_from_obj(obj))
-        # RecursionError: json.loads on deeply nested arrays
-        except (KeyError, ValueError, TypeError, RecursionError, WrongVoteCount):
+        if circuit_id == AGGREGATION and not _sized_for_bitmap(proof.payload,
+                                                               public.validator_bits):
             return False
-        return report.ok
+        try:
+            witness = decode_witness(circuit_id, proof.payload)
+        except ValueError:
+            return False
+        check = check_aggregation if circuit_id == AGGREGATION else check_slash
+        return check(public, witness).ok
 
 
 _TRANSPARENT = TransparentBackend()
@@ -591,8 +568,8 @@ _TRANSPARENT = TransparentBackend()
 
 def _widest_witness(circuit_id: str, depth: int):
     """The circuit's witness layout at this depth with every index at
-    2^D - 1, every field element at P - 1 and s at L - 1, the widest values
-    the decoder accepts.  It satisfies nothing."""
+    2^D - 1, every other field element at P - 1 and s at L - 1.  It
+    satisfies nothing."""
     top = P - 1
     widest = Point(top, top)
     account = Account((1 << depth) - 1, widest, top)
@@ -601,34 +578,6 @@ def _widest_witness(circuit_id: str, depth: int):
     if circuit_id == AGGREGATION:
         return AggregationWitness(account, proof, (vote,) * threshold(depth))
     return SlashWitness(account, proof, vote)
-
-
-@lru_cache(maxsize=None)
-def max_payload_size(circuit_id: str, depth: int) -> int:
-    """Bytes in the longest payload an honest prover emits at this depth, the
-    widest witness's.  A longer payload is padded or malformed, so a verifier
-    can refuse it before parsing it.  The widest witness's vote records all
-    have one length, so its payload is the one-vote payload plus t - 1 more
-    records and commas, and no bound serializes t votes."""
-    witness = _widest_witness(circuit_id, depth)
-    if circuit_id != AGGREGATION:
-        return len(_payload(circuit_id, witness))
-    one, two = (len(_payload(AGGREGATION, replace(witness, votes=witness.votes[:n])))
-                for n in (1, 2))
-    return one + (threshold(depth) - 1) * (two - one)
-
-
-def _payload_bound(circuit_id: str, public) -> int:
-    """The longest honest payload for these public inputs: an aggregation's
-    depth D follows from its vote count t = 2^(D-1) + 1, and 0 when no D in
-    [1, MAX_LOG_DEPTH] fits; a slash is bounded at the deepest tree."""
-    if circuit_id == SLASH:
-        return max_payload_size(SLASH, MAX_LOG_DEPTH)
-    above_half = int.bit_count(public.validator_bits) - 1
-    depth = above_half.bit_length()
-    if not 1 <= depth <= MAX_LOG_DEPTH or above_half != 1 << (depth - 1):
-        return 0
-    return max_payload_size(AGGREGATION, depth)
 
 
 @lru_cache(maxsize=None)

@@ -121,7 +121,9 @@ def cmd_scaling(args) -> int:
         row = scaling_row(size)
         lines.append(",".join(str(row[k]) for k in SCALING_HEADER.split(",")))
         print(f"committee {size}: aggregation {row['aggregation_constraints']} "
-              f"constraints, slash {row['slash_constraints']}")
+              f"constraints, {row['aggregation_witness_bytes']} payload bytes; "
+              f"slash {row['slash_constraints']} constraints, "
+              f"{row['slash_witness_bytes']} payload bytes")
     _write_atomic(Path(args.out), "\n".join(lines) + "\n")
     return 0
 

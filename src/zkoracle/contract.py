@@ -256,13 +256,15 @@ class Contract:
                    val_index=val_index, post_state_root=post_state_root)
 
     def _check_payload_size(self, circuit_id: str, proof: Proof) -> None:
-        """Refuse a payload longer than any honest one at this depth before
-        the backend parses it."""
-        bound = circuits.max_payload_size(circuit_id, self.params.depth)
-        if len(proof.payload) > bound:
+        """Refuse, before the backend parses it, a payload that is not bytes
+        of the length every payload of this circuit has at this depth."""
+        size = circuits.payload_size(circuit_id, self.params.depth)
+        if not isinstance(proof.payload, bytes):
+            raise InvalidProof(f"{circuit_id} payload is not bytes")
+        if len(proof.payload) != size:
             raise InvalidProof(f"{circuit_id} payload of {len(proof.payload)} bytes "
-                               f"exceeds the {bound}-byte bound at depth "
-                               f"{self.params.depth}")
+                               f"at depth {self.params.depth}, where every one "
+                               f"has {size}")
 
     def timeout_aggregator(self) -> int:
         """Rotate past an unresponsive aggregator; driven by the network layer."""

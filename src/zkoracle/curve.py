@@ -2,10 +2,11 @@
 
 a*x^2 + y^2 = 1 + d*x^2*y^2 with a = 168700, d = 168696.  GENERATOR spans the
 prime-order subgroup of order L (cofactor 8 removed).  The published constants
-are re-verified at import: on-curve, L*G = identity, 2*G != identity, and the
-fixed-base comb agrees with the variable-base multiplier on two scalars that
-read every row of it with both signs, and on two that read every entry of
-G's variable-base table with both signs.
+are re-verified at import: on-curve, 2*G != identity, the fixed-base comb
+agrees with the variable-base multiplier on two scalars that read every row
+of it with both signs and on two that read every entry of G's variable-base
+table with both signs, and then (L - 1)*G + G = identity (L*G would prove
+nothing, as scalar_mul reduces k mod L).
 
 Scalar multiplication runs in extended coordinates (Hisil, Wong, Carter,
 Dawson, *Twisted Edwards curves revisited*, 2008), so the only inversion is
@@ -344,16 +345,26 @@ _KEY_ROWS = (1 << (_DIGITS - 1)) | sum(
 _CHECK_KEY_SCALARS = (2 * (_KEY_ROWS | _COLUMN_MASK) - _RECODE, 2 * _KEY_ROWS - _RECODE - 1)
 
 
+def in_prime_subgroup(p: Point) -> bool:
+    """Whether L*p is the identity: p lies in the subgroup of order L, the
+    identity included.  scalar_mul reduces k mod L, so scalar_mul(L, p) is
+    the identity for every p; (L - 1)*p + p is the identity, projectively
+    Z != 0, X = 0 and Y = Z, only in the subgroup."""
+    x, y, z = add_projective(scalar_mul(L - 1, p), p)
+    return z != 0 and x == 0 and y == z
+
+
 def _check_parameters() -> None:
     if not is_on_curve(GENERATOR):
         raise InvalidPoint("generator is not on the curve")
-    if scalar_mul(L, GENERATOR) != IDENTITY:
-        raise InvalidPoint("generator does not have order L")
     if scalar_mul(2, GENERATOR) == IDENTITY:
         raise InvalidPoint("generator has low order")
     for k in _CHECK_SCALARS + _CHECK_KEY_SCALARS:
         if comb_mul_base(k) != scalar_mul(k, GENERATOR):
             raise InvalidPoint("fixed-base comb disagrees with the variable-base multiplier")
+    # last, so that it runs on a multiplier the two combs have checked
+    if not in_prime_subgroup(GENERATOR):
+        raise InvalidPoint("generator does not have order L")
 
 
 _check_parameters()

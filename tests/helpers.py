@@ -1,16 +1,15 @@
 """Shared builders for the test suite."""
 
-import json
 import random
 from functools import cache
 
 from zkoracle import eddsa
-from zkoracle.circuits import COST_POINT_ADD
+from zkoracle.circuits import COST_POINT_ADD, WORD, payload_size
 from zkoracle.curve import (_EXT_IDENTITY, A, D, GENERATOR, IDENTITY, L, Point,
                             _ext_add, _ext_double, _to_ext)
 from zkoracle.errors import IndexMismatch, IndexOutOfRange
 from zkoracle.field import P
-from zkoracle.merkle import (EMPTY_LEAF, Account, MerkleProof, StateTree,
+from zkoracle.merkle import (EMPTY_LEAF, MAX_LOG_DEPTH, Account, MerkleProof, StateTree,
                              empty_account, leaf_hash)
 from zkoracle.mimc import mimc_hash
 from zkoracle.nodes import make_vote
@@ -34,50 +33,39 @@ def honest_votes(keys, indices, request_id, block_hash):
     return [make_vote(keys[i].sk, i, request_id, block_hash) for i in indices]
 
 
-def hostile_payloads(payload):
-    """Mutants of an aggregation or slash proof payload; every one must verify
-    False.  The first ones once escaped verification with RecursionError,
-    AttributeError, IndexError or OverflowError.  The rest are ones a lax
-    decoder reads as the honest witness: a value of another JSON type, a
-    field element plus P, a signature scalar plus L, directions that are not
-    the index bits, a record with a key the encoder never writes.  They edit
-    the aggregator's account and proof, which both circuits carry, and the
-    first vote and its signature."""
-    mutants = [b"[" * 200000, b"[]", b"null", b"1", b'"aggregator"']
-    original = json.loads(payload)
-    mutants.append(json.dumps(dict(original, extra="1")).encode())
-    assert original["aggregator"]["index"] in (0, 1)  # so that bool() keeps it
-    first_sig = ("votes", 0, "signature") if "votes" in original else ("victim", "signature")
+def payload_words(payload):
+    """A proof payload's 32-byte big-endian words."""
+    return [int.from_bytes(payload[i:i + WORD], "big") for i in range(0, len(payload), WORD)]
 
-    def plus_p(raw):
-        return str(int(raw) + P)
 
-    def plus_l(raw):
-        return str(int(raw) + L)
+def words_payload(words):
+    return b"".join(w.to_bytes(WORD, "big") for w in words)
 
-    for path, change in [
-            (("aggregator", "pubkey"), lambda pk: pk[:1]),
-            (("aggregator", "pubkey"), lambda pk: pk + pk[:1]),
-            (("aggregator", "balance"), lambda _: float("inf")),  # encoded as Infinity
-            (("aggregator", "index"), bool),
-            (("aggregator", "balance"), int),
-            (("aggregator", "balance"), plus_p),
-            (("aggregator", "pubkey", 0), plus_p),
-            (("aggregator_proof", "path", 0), plus_p),
-            (first_sig + ("r", 0), plus_p),
-            (first_sig + ("s",), plus_l),
-            (("aggregator_proof", "directions"), lambda _: [7] * 1000),
-            # a lax decoder ignores keys it does not know
-            (first_sig[:-1], lambda record: dict(record, extra="1")),
-            (first_sig, lambda signature: dict(signature, extra="1")),
-            (("aggregator_proof",), lambda proof: dict(proof, extra="1"))]:
-        obj = json.loads(payload)
-        record = obj
-        for step in path[:-1]:
-            record = record[step]
-        record[path[-1]] = change(record[path[-1]])
-        mutants.append(json.dumps(obj).encode())
-    return mutants
+
+def hostile_payloads(circuit, payload):
+    """Mutants of an honest aggregation or slash proof payload; every one
+    must verify False.  Some have a length no depth gives the circuit: empty,
+    a byte or a word short or long, and 5 MB long.  One has the length of
+    another depth's payload: it decodes, but not as a witness for a public
+    of this depth.  In the rest a word is edited: each word of the aggregator's
+    record and the first vote's plus P, which no field element is; the first
+    signature's s plus L; and either index at 2^D, which decodes and the
+    circuit rejects.  The last is the payload as a str."""
+    depth = next(d for d in range(1, MAX_LOG_DEPTH + 1)
+                 if payload_size(circuit, d) == len(payload))
+    other = payload_size(circuit, 8 if depth != 8 else 2)
+    mutants = [b"", payload[:-1], payload + b"\0", payload[:-WORD], payload + payload[:WORD],
+               payload + b" " * 5_000_000, (payload + b"\0" * other)[:other]]
+    words = payload_words(payload)
+    member = 5 + depth
+    s = 2 * member + 2  # the first vote record: its member record, R.x, R.y, s
+    edits = [(k, P) for k in range(2 * member + 4)]
+    edits += [(s, L), (0, (1 << depth) - words[0]), (member, (1 << depth) - words[member])]
+    for k, change in edits:
+        edited = list(words)
+        edited[k] += change
+        mutants.append(words_payload(edited))
+    return mutants + [payload.decode("latin-1")]
 
 
 def random_occupied_tree(rng: random.Random, depth, keys, min_occupied):

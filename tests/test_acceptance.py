@@ -13,7 +13,7 @@ from helpers import random_occupied_tree
 from zkoracle import eddsa
 from zkoracle.circuits import (AGGREGATION, SLASH, build_aggregation_witness,
                                build_slash_witness, check_aggregation, check_slash,
-                               max_payload_size, threshold)
+                               payload_size, threshold)
 from zkoracle.cli import bundled_scenarios, scaling_row
 from zkoracle.contract import Contract, Params, dump_log, parse_log, replay
 from zkoracle.errors import ExitTimeNotReached, StakeTooLow
@@ -189,11 +189,10 @@ def test_criterion_6_scaling_trend():
     counts = {size: (rows[size]["aggregation_constraints"],
                      rows[size]["slash_constraints"]) for size in sizes}
     assert counts == SCALING_CONSTRAINTS
-    # every honest payload fits the size bound the contract enforces
+    # every honest payload has the exact size the contract enforces
     for size, row in rows.items():
-        assert row["aggregation_witness_bytes"] <= \
-            max_payload_size(AGGREGATION, row["depth"])
-        assert row["slash_witness_bytes"] <= max_payload_size(SLASH, row["depth"])
+        assert row["aggregation_witness_bytes"] == payload_size(AGGREGATION, row["depth"])
+        assert row["slash_witness_bytes"] == payload_size(SLASH, row["depth"])
 
     ratios = []
     for small, big in ((32, 64), (64, 128), (128, 256)):

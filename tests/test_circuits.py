@@ -1,22 +1,19 @@
 """Aggregation and slashing circuit tests."""
 
-import json
 import random
 from dataclasses import replace
 
 import pytest
 
 from helpers import (ORDER_8, build_committee, honest_votes, hostile_payloads,
-                     random_occupied_tree, ref_assert_distinct, ref_credit,
-                     ref_verify_sig)
+                     payload_words, random_occupied_tree, ref_assert_distinct,
+                     ref_credit, ref_verify_sig, words_payload)
 from zkoracle import circuits, curve, eddsa, merkle, mimc, selfcheck
-from zkoracle.circuits import (AGGREGATION, SLASH, AggregationWitness,
-                               ConstraintMeter, _stage_aggregation,
-                               aggregation_witness_from_obj,
-                               aggregation_witness_to_obj,
+from zkoracle.circuits import (AGGREGATION, SLASH, WORD, AggregationWitness,
+                               ConstraintMeter, _stage_aggregation, _widest_witness,
                                build_aggregation_witness, build_slash_witness,
-                               check_aggregation, check_slash, prove,
-                               slash_witness_from_obj, threshold, verify)
+                               check_aggregation, check_slash, decode_witness,
+                               encode_witness, payload_size, prove, threshold, verify)
 from zkoracle.errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
 from zkoracle.field import P
 from zkoracle.merkle import MAX_LOG_DEPTH, Account
@@ -228,15 +225,14 @@ def test_signature_check_matches_affine_reference(monkeypatch):
     s_public, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888),
                                               5, 777)
     cases = [(check_aggregation, public, witness), (check_slash, s_public, s_witness)]
-    for circuit, pub, wit, check, decode in (
-            (AGGREGATION, public, witness, check_aggregation, aggregation_witness_from_obj),
-            (SLASH, s_public, s_witness, check_slash, slash_witness_from_obj)):
-        # the decoders reject every mutant there is today; one added later
-        # that decodes is compared here too
-        for payload in hostile_payloads(prove("transparent", circuit, pub, wit).payload):
+    for circuit, pub, wit, check in ((AGGREGATION, public, witness, check_aggregation),
+                                     (SLASH, s_public, s_witness, check_slash)):
+        # the mutants that decode are compared: today those of another
+        # depth's length and those with an index at 2^D
+        for payload in hostile_payloads(circuit, prove("transparent", circuit, pub, wit).payload):
             try:
-                cases.append((check, pub, decode(json.loads(payload))))
-            except (KeyError, ValueError, TypeError, RecursionError):
+                cases.append((check, pub, decode_witness(circuit, payload)))
+            except ValueError:
                 pass
 
     key_tree, key_keys = _with_off_curve_key(1)
@@ -508,80 +504,101 @@ def test_verify_rejects_hostile_payloads_without_raising():
     s_proof = prove("transparent", SLASH, s_public, s_witness)
     for circuit, pub, good in ((AGGREGATION, public, proof), (SLASH, s_public, s_proof)):
         assert verify("transparent", circuit, pub, good)
-        for payload in hostile_payloads(good.payload):
+        for payload in hostile_payloads(circuit, good.payload):
             bad = replace(good, payload=payload)
             assert verify("transparent", circuit, pub, bad) is False, payload[:40]
 
 
+def _sized(payload, size):
+    """payload cut or padded with zero bytes to size bytes."""
+    return (payload + bytes(size))[:size]
+
+
 def test_verify_refuses_oversize_payloads_unread(monkeypatch):
+    # every payload of a circuit at depth D has payload_size(circuit, D)
+    # bytes; any length no D in [1, MAX_LOG_DEPTH] gives is refused before a
+    # word of it is read.  An aggregation's bitmap names its depth, so one of
+    # another depth is refused unread too; a slash's public names none, so
+    # its payload is read and fails
     tree, keys, _, public, witness = honest_instance()
     proof = prove("transparent", AGGREGATION, public, witness)
     s_public, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888),
                                               5, 777)
     s_proof = prove("transparent", SLASH, s_public, s_witness)
-
-    def pad_to(p, size):
-        return replace(p, payload=p.payload + b" " * (size - len(p.payload)))
-
-    # an aggregation's depth follows from its vote count, 3 = 2^(2-1) + 1; a
-    # slash is bounded at the deepest tree
-    for circuit, pub, good, bound in (
-            (AGGREGATION, public, proof, circuits.max_payload_size(AGGREGATION, 2)),
-            (SLASH, s_public, s_proof, circuits.max_payload_size(SLASH, MAX_LOG_DEPTH))):
-        assert verify("transparent", circuit, pub, pad_to(good, bound))
-        loads = []
-        monkeypatch.setattr(circuits.json, "loads", lambda raw: loads.append(raw))
-        assert not verify("transparent", circuit, pub, pad_to(good, bound + 1))
-        assert loads == []
+    for circuit, pub, good in ((AGGREGATION, public, proof), (SLASH, s_public, s_proof)):
+        size = len(good.payload)
+        assert size == payload_size(circuit, 2)
+        assert verify("transparent", circuit, pub, good)
+        read = []
+        words = circuits._words
+        monkeypatch.setattr(circuits, "_words",
+                            lambda payload: read.append(len(payload)) or words(payload))
+        for other in (0, 1, WORD, size - WORD, size - 1, size + 1, size + WORD,
+                      payload_size(circuit, 3) - 1, size + 5_000_000):
+            assert not verify("transparent", circuit, pub,
+                              replace(good, payload=_sized(good.payload, other)))
+        assert read == []
+        for depth in (1, 3, 8):
+            assert not verify("transparent", circuit, pub, replace(
+                good, payload=_sized(good.payload, payload_size(circuit, depth))))
+        assert read == ([] if circuit == AGGREGATION
+                        else [payload_size(circuit, depth) for depth in (1, 3, 8)])
         monkeypatch.undo()
-    # vote counts no depth in [1, MAX_LOG_DEPTH] has, and bits of other types
+    # bits other than the witness's, and bits of other types
     for bits in (0, 0b1, 0b1111, (1 << (1 << MAX_LOG_DEPTH) + 1) - 1, "0b111", None, 7.0):
         assert not verify("transparent", AGGREGATION, replace(public, validator_bits=bits),
                           proof)
 
 
 def test_witness_serialization_roundtrip():
-    _, _, _, public, witness = honest_instance()
-    obj = aggregation_witness_to_obj(witness)
-    assert aggregation_witness_from_obj(obj) == witness
+    # decode(encode(w)) == w, and every payload that decodes, honest or a
+    # hostile or fuzzed mutant, is the encoding of what it decodes to
+    tree, keys, _, public, witness = honest_instance()
+    _, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888), 5, 777)
+    rng = random.Random(2409)
+    decoded = 0
+    for circuit, wit in ((AGGREGATION, witness), (SLASH, s_witness)):
+        payload = encode_witness(circuit, wit)
+        assert decode_witness(circuit, payload) == wit
+        for depth in (1, 2, 8):
+            widest = _widest_witness(circuit, depth)
+            assert decode_witness(circuit, encode_witness(circuit, widest)) == widest
+        for mutant in hostile_payloads(circuit, payload) + _fuzzed_payloads(payload, rng):
+            try:
+                mutant_witness = decode_witness(circuit, mutant)
+            except ValueError:
+                continue
+            assert encode_witness(circuit, mutant_witness) == mutant
+            decoded += 1
+    assert decoded >= 50
 
 
-JUNK_VALUES = [None, True, False, 0, 1, -1, 1.5, float("inf"), "", "x", "-1", " 1",
-               "1e3", str(P), [], {}, ["1"], {"1": "1"}]
+# words a mutant writes: small ones, the largest below L and P, the smallest
+# at or above them, and the largest word
+JUNK_WORDS = [0, 1, 2, curve.L - 1, curve.L, P - 1, P, P + 1, (1 << 256) - 1]
 
 
-def _mutate_record(obj, rng):
-    """Drop, replace or add one value somewhere inside a decoded payload."""
-    records = []
-
-    def walk(node):
-        if isinstance(node, (dict, list)):
-            records.append(node)
-            for child in (node.values() if isinstance(node, dict) else node):
-                walk(child)
-    walk(obj)
-    record = rng.choice(records)
-    keys = list(record) if isinstance(record, dict) else list(range(len(record)))
-    action = rng.choice(("drop", "replace", "add")) if keys else "add"
+def _mutate_words(words, rng):
+    """Drop, replace or insert one word of a payload."""
+    k = rng.randrange(len(words))
+    action = rng.choice(("drop", "replace", "add"))
     if action == "drop":
-        del record[rng.choice(keys)]
+        del words[k]
     elif action == "replace":
-        record[rng.choice(keys)] = rng.choice(JUNK_VALUES)
-    elif isinstance(record, dict):
-        record[rng.choice(("extra", "aggregator_secret"))] = rng.choice(JUNK_VALUES)
+        words[k] = rng.choice(JUNK_WORDS + [rng.choice(words), rng.getrandbits(256)])
     else:
-        record.append(rng.choice(record) if record else "0")
+        words.insert(k, rng.choice(words))
 
 
 def _fuzzed_payloads(payload, rng):
-    """150 seeded mutants of a payload: seven in ten edit one decoded value,
-    the others overwrite one byte and cut the payload at or after it."""
+    """150 seeded mutants of a payload: seven in ten drop, replace or insert
+    one word, the others overwrite one byte and cut the payload at or after it."""
     mutants = []
     for _ in range(150):
         if rng.random() < 0.7:
-            obj = json.loads(payload)
-            _mutate_record(obj, rng)
-            mutants.append(json.dumps(obj).encode())
+            words = payload_words(payload)
+            _mutate_words(words, rng)
+            mutants.append(words_payload(words))
         else:
             data = bytearray(payload)
             k = rng.randrange(len(data))
@@ -601,19 +618,17 @@ def test_fuzzed_payloads_verify_false_or_decode_to_the_witness():
         good = prove("transparent", circuit, pub, wit)
         for payload in _fuzzed_payloads(good.payload, rng):
             if verify("transparent", circuit, pub, replace(good, payload=payload)):
-                decode = (aggregation_witness_from_obj if circuit == AGGREGATION
-                          else slash_witness_from_obj)
-                assert decode(json.loads(payload)) == wit, payload[:80]
+                assert decode_witness(circuit, payload) == wit, payload[:80]
 
 
 def test_serialized_instances_golden():
-    # regression pins for the canonical decimal-record encodings; fixed keys
+    # regression pins for the fixed-width word encodings
     import hashlib
 
     _, keys, votes, public, witness = honest_instance()
     proof = prove("transparent", AGGREGATION, public, witness)
     assert hashlib.sha256(proof.payload).hexdigest() == \
-        "2b2b0f75419f13b4a694218566f5c72f4f653136ff146cca5c848a0d8195db72"
+        "83b4008ec468eab64ae8927fe587353acd6be6ffb950683d2b35e708c613ac99"
     assert public.pre_state_root == \
         1245594603875225791434294640521501230096359233096937346900404774255669017008
     assert public.post_state_root == \
@@ -624,7 +639,7 @@ def test_serialized_instances_golden():
     s_public, s_witness = build_slash_witness(tree, 0, dissent, 5, 777)
     s_proof = prove("transparent", SLASH, s_public, s_witness)
     assert hashlib.sha256(s_proof.payload).hexdigest() == \
-        "36f39f1c730ac78dd1da29bb298c6d8f14426b55a24143dc74ef83aa33b43804"
+        "fea2c86352491b72e8568fe2b461b2e99337088e6383e0c2cc1a496efcea15a3"
 
 
 def test_slash_proof_roundtrip():
@@ -761,14 +776,13 @@ def test_lazy_root_folds_match_full_folds(monkeypatch):
     s_public, s_witness = build_slash_witness(tree, 0, make_vote(keys[3].sk, 3, 5, 888),
                                               5, 777)
     fuzz = random.Random(2409)
-    for circuit, pub, wit, check, decode in (
-            (AGGREGATION, public, witness, check_aggregation, aggregation_witness_from_obj),
-            (SLASH, s_public, s_witness, check_slash, slash_witness_from_obj)):
+    for circuit, pub, wit, check in ((AGGREGATION, public, witness, check_aggregation),
+                                     (SLASH, s_public, s_witness, check_slash)):
         good = prove("transparent", circuit, pub, wit).payload
-        for payload in hostile_payloads(good) + _fuzzed_payloads(good, fuzz):
+        for payload in hostile_payloads(circuit, good) + _fuzzed_payloads(good, fuzz):
             try:
-                cases.append((check, pub, decode(json.loads(payload))))
-            except (KeyError, ValueError, TypeError, RecursionError):
+                cases.append((check, pub, decode_witness(circuit, payload)))
+            except ValueError:
                 pass
 
     def record(public, witness):

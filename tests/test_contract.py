@@ -590,7 +590,7 @@ def test_hostile_proof_payloads_raise_invalid_proof():
         contract.tree_snapshot(), 0, votes, 0, 777)
     proof = prove("transparent", AGGREGATION, public, witness)
     log = dump_log(contract)
-    for payload in hostile_payloads(proof.payload):
+    for payload in hostile_payloads(AGGREGATION, proof.payload):
         with pytest.raises(InvalidProof):
             contract.submit_block("owner-0", 0, 777, public.validator_bits,
                                   public.post_state_root, replace(proof, payload=payload))
@@ -598,7 +598,7 @@ def test_hostile_proof_payloads_raise_invalid_proof():
 
     contract, _, _, s_public, s_proof = slashable_setup()
     log = dump_log(contract)
-    for payload in hostile_payloads(s_proof.payload):
+    for payload in hostile_payloads(circuits.SLASH, s_proof.payload):
         with pytest.raises(InvalidProof):
             contract.slash("owner-0", 0, 3, s_public.post_state_root,
                            replace(s_proof, payload=payload))
@@ -638,9 +638,9 @@ def test_proof_for_another_backend_or_circuit_is_invalid():
 
 
 def test_oversize_payloads_refused_before_verification(monkeypatch):
-    """Trailing spaces keep a payload's JSON; the backend refuses 5 MB of
-    them unread, and the contract refuses any payload longer than an honest
-    one at its depth before the backend sees it."""
+    """The backend refuses a payload padded by 5 MB unread, and the contract
+    refuses, before the backend sees it, any payload that is not bytes of
+    the length every payload of the circuit has at its depth."""
     contract = Contract(P4)
     keys = fresh_keys(4)
     register_all(contract, keys)
@@ -652,36 +652,44 @@ def test_oversize_payloads_refused_before_verification(monkeypatch):
     padded = replace(proof, payload=proof.payload + b" " * 5_000_000)
     assert not circuits.verify("transparent", AGGREGATION, public, padded)
 
-    def pad_to(p, size):
-        return replace(p, payload=p.payload + b" " * (size - len(p.payload)))
+    def sized(p, size):
+        return replace(p, payload=(p.payload + bytes(size))[:size])
 
     calls = []
     real = circuits.TransparentBackend.verify
     monkeypatch.setattr(circuits.TransparentBackend, "verify",
                         lambda *args: calls.append(args[1]) or real(*args))
-    bound = circuits.max_payload_size(AGGREGATION, 2)
+    size = circuits.payload_size(AGGREGATION, 2)
+    assert len(proof.payload) == size
     log = dump_log(contract)
-    for oversize in (padded, pad_to(proof, bound + 1)):
+    for wrong in (padded, sized(proof, size + 1), sized(proof, size - 1), sized(proof, 0),
+                  sized(proof, circuits.payload_size(AGGREGATION, 3)),
+                  replace(proof, payload=None), replace(proof, payload=size),
+                  replace(proof, payload=proof.payload.decode("latin-1"))):
         with pytest.raises(InvalidProof):
             contract.submit_block("owner-0", 0, 777, public.validator_bits,
-                                  public.post_state_root, oversize)
+                                  public.post_state_root, wrong)
         assert dump_log(contract) == log
     assert calls == []
     contract.submit_block("owner-0", 0, 777, public.validator_bits,
-                          public.post_state_root, pad_to(proof, bound))
+                          public.post_state_root, proof)
     assert calls == [AGGREGATION]
 
     contract, _, _, s_public, s_proof = slashable_setup()
     calls = []
-    bound = circuits.max_payload_size(circuits.SLASH, 2)
+    size = circuits.payload_size(circuits.SLASH, 2)
+    assert len(s_proof.payload) == size
     log = dump_log(contract)
-    for oversize in (pad_to(s_proof, len(s_proof.payload) + 5_000_000),
-                     pad_to(s_proof, bound + 1)):
+    for wrong in (sized(s_proof, size + 5_000_000), sized(s_proof, size + 1),
+                  sized(s_proof, size - 1), sized(s_proof, 0),
+                  sized(s_proof, circuits.payload_size(circuits.SLASH, 3)),
+                  replace(s_proof, payload=None),
+                  replace(s_proof, payload=s_proof.payload.decode("latin-1"))):
         with pytest.raises(InvalidProof):
-            contract.slash("owner-0", 0, 3, s_public.post_state_root, oversize)
+            contract.slash("owner-0", 0, 3, s_public.post_state_root, wrong)
         assert dump_log(contract) == log
     assert calls == []
-    contract.slash("owner-0", 0, 3, s_public.post_state_root, pad_to(s_proof, bound))
+    contract.slash("owner-0", 0, 3, s_public.post_state_root, s_proof)
     assert calls == [circuits.SLASH]
 
 

@@ -217,6 +217,38 @@ def test_corrupt_comb_table_fails_the_import_check(monkeypatch):
             scalar_mul_base.cache_clear()
 
 
+def test_subgroup_check_tells_keys_from_torsion_shifts():
+    # scalar_mul reduces k mod L, so L*p is the identity for every p; the
+    # check (L - 1)*p + p tells the prime-order subgroup from its cosets.
+    # The identity lies in the subgroup, so the import check rejects it with
+    # its separate 2*G test
+    rng = random.Random(33)
+    keys = [GENERATOR] + [ref_scalar_mul_base(rng.randrange(1, L)) for _ in range(3)]
+    outside = TORSION[1:] + [ORDER_8, ref_add(ORDER_8, ORDER_8)]
+    outside += [ref_add(pk, t) for pk in keys for t in TORSION[1:] + [ORDER_8]]
+    assert all(scalar_mul(L, p) == IDENTITY for p in keys + outside)
+    assert all(curve.in_prime_subgroup(p) for p in keys + [IDENTITY])
+    assert not any(curve.in_prime_subgroup(p) for p in outside)
+
+
+def test_generator_outside_the_subgroup_fails_the_import_check(monkeypatch):
+    # G + ORDER_8 is on the curve, 2*(G + ORDER_8) is not the identity, and a
+    # comb built from it agrees with the variable-base multiplier, so only
+    # the order check can refuse it
+    shifted = ref_add(GENERATOR, ORDER_8)
+    monkeypatch.setattr(curve, "GENERATOR", shifted)
+    monkeypatch.setattr(curve, "_BASE_COMB", curve._base_comb())
+    try:
+        for k in curve._CHECK_SCALARS + curve._CHECK_KEY_SCALARS:
+            assert curve.comb_mul_base(k) == scalar_mul(k, shifted)
+        with pytest.raises(InvalidPoint, match="order L"):
+            curve._check_parameters()
+    finally:
+        monkeypatch.undo()
+        scalar_mul.cache_clear()
+        curve._comb_table.cache_clear()
+
+
 def key_comb_reads(k):
     """(entry, negated) for each column of the variable-base walk of k mod L,
     from its signed binary digits: the walk reads k + 1 for an even k."""

@@ -5,12 +5,13 @@ import dataclasses
 import hashlib
 import json
 import random
-import re
 import sys
 
 import pytest
 
+from helpers import payload_words
 from zkoracle import circuits, eddsa, simnet
+from zkoracle.circuits import WORD
 from zkoracle.cli import bundled_scenarios, main
 from zkoracle.contract import dump_events, dump_log
 from zkoracle.merkle import Account, dump_snapshot
@@ -358,9 +359,10 @@ def test_verified_proofs_carry_no_secret_key(monkeypatch):
     config = dataclasses.replace(bundled_scenarios()["safety_wrong_hash_n4"], rounds=3)
     run = run_scenario(config)
     assert {circuit_id for circuit_id, _ in payloads} == {"aggregation", "slash"}
-    secrets = {str(node.keypair.sk).encode() for node in run.nodes}
+    secrets = {node.keypair.sk for node in run.nodes}
     for _, payload in payloads:
-        assert not secrets & set(re.findall(rb"\d+", payload))
+        assert not secrets & set(payload_words(payload))
+        assert not any(sk.to_bytes(WORD, "big") in payload for sk in secrets)
 
 
 # sha256 of metrics.csv + events.log + tree.snapshot for configs whose votes
