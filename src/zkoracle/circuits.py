@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from . import curve
+from . import eddsa
 from .curve import A, D, L, Point
 from .eddsa import Signature, challenge_inputs
 from .errors import MixedVotes, NotSlashable, UnknownBackend, WrongVoteCount
@@ -193,13 +193,11 @@ class ConstraintMeter:
         rhs = (1 + D * pt.x * pt.x % P * pt.y % P * pt.y) % P
         self.assert_eq(lhs, rhs, site)
 
-    def scalar_mul(self, k: int, p: Point) -> Point:
-        self.count += COST_SCALAR_MUL
-        return curve.scalar_mul(k, p)
-
-    def scalar_mul_base(self, k: int) -> Point:
-        self.count += COST_SCALAR_MUL
-        return curve.scalar_mul_base(k)
+    def sig_equation(self, pk: Point, c: int, r: Point, s: int) -> tuple:
+        """eddsa.sig_equation's two comparisons, charged as s*G, c*pk and
+        the addition of R."""
+        self.count += 2 * COST_SCALAR_MUL + COST_POINT_ADD
+        return eddsa.sig_equation(pk, c, r, s)
 
     def report(self) -> ConstraintReport:
         return ConstraintReport(self.ok, self.count, self.failure_site)
@@ -280,13 +278,11 @@ def _verify_sig(cs: ConstraintMeter, pk: Point, msg: int, sig: Signature, site: 
     cs.on_curve(pk, f"{site}.pk-on-curve")
     cs.on_curve(sig.r, f"{site}.r-on-curve")
     c = cs.mimc(challenge_inputs(sig.r, pk, msg)) % L
-    lhs = cs.scalar_mul_base(sig.s % L)
-    # R + c*pk stays projective; Z is 0 only if R or c*pk is off the curve,
-    # which the on-curve assertions above have already failed
-    cs.count += COST_POINT_ADD
-    x, y, z = curve.add_projective(sig.r, cs.scalar_mul(c, pk))
-    cs.assert_eq(lhs.x * z % P, x, f"{site}.sig-x")
-    cs.assert_eq(lhs.y * z % P, y, f"{site}.sig-y")
+    # off the curve the comparisons are garbage, and the on-curve assertions
+    # above have already failed
+    x_holds, y_holds = cs.sig_equation(pk, c, sig.r, sig.s % L)
+    cs.assert_eq(x_holds, True, f"{site}.sig-x")
+    cs.assert_eq(y_holds, True, f"{site}.sig-y")
 
 
 def check_aggregation(public: AggregationPublic,
@@ -439,11 +435,10 @@ def _stage_slash(work, agg_index, victim_vote, request_id, majority_hash):
 # index, pk.x, pk.y, balance, leaf and the D path siblings, leaf level first;
 # a vote record is a member record plus R.x, R.y, s and the claimed hash.  An
 # aggregation is the aggregator's member record and t vote records, a slash
-# the aggregator's and the victim's.  Directions are not written: a proof's
-# directions are the low D bits of its account's index, so the decoder derives
-# them.  Both circuits' payload sizes grow strictly with D, so a payload's
-# length names its depth, and every payload that decodes is the one encoding
-# of its witness.
+# the aggregator's and the victim's.  A Merkle proof has no directions to
+# write: they are the low D bits of its account's index.  Both circuits'
+# payload sizes grow strictly with D, so a payload's length names its depth,
+# and every payload that decodes is the one encoding of its witness.
 
 WORD = 32
 
@@ -457,18 +452,17 @@ def _vote_words(v: VoteWitness) -> list:
             v.claimed_block_hash]
 
 
-def _member_from(words, depth: int) -> tuple:
+def _member_from(words) -> tuple:
     """An account and its Merkle proof from a member record's 5 + D words."""
     index, x, y, balance, leaf, *path = words
-    return (Account(index, Point(x, y), balance),
-            MerkleProof(leaf, tuple(path), tuple(index >> d & 1 for d in range(depth))))
+    return Account(index, Point(x, y), balance), MerkleProof(leaf, tuple(path))
 
 
-def _vote_from(words, depth: int) -> VoteWitness:
+def _vote_from(words) -> VoteWitness:
     *member, rx, ry, s, block_hash = words
     if s >= L:  # the circuit reduces s mod L, so (R, s + L) would verify too
         raise ValueError("signature scalar s is not below L")
-    return VoteWitness(*_member_from(member, depth), Signature(Point(rx, ry), s), block_hash)
+    return VoteWitness(*_member_from(member), Signature(Point(rx, ry), s), block_hash)
 
 
 AGGREGATION = "aggregation"
@@ -517,8 +511,8 @@ def decode_witness(circuit_id: str, payload: bytes):
         raise ValueError(f"no depth has a {len(payload)}-byte {circuit_id} payload")
     words = _words(payload)
     member, vote = 5 + depth, 9 + depth
-    aggregator = _member_from(words[:member], depth)
-    votes = [_vote_from(words[i:i + vote], depth) for i in range(member, len(words), vote)]
+    aggregator = _member_from(words[:member])
+    votes = [_vote_from(words[i:i + vote]) for i in range(member, len(words), vote)]
     if circuit_id == AGGREGATION:
         return AggregationWitness(*aggregator, tuple(votes))
     return SlashWitness(*aggregator, *votes)
@@ -573,7 +567,7 @@ def _widest_witness(circuit_id: str, depth: int):
     top = P - 1
     widest = Point(top, top)
     account = Account((1 << depth) - 1, widest, top)
-    proof = MerkleProof(top, (top,) * depth, (1,) * depth)
+    proof = MerkleProof(top, (top,) * depth)
     vote = VoteWitness(account, proof, Signature(widest, L - 1), top)
     if circuit_id == AGGREGATION:
         return AggregationWitness(account, proof, (vote,) * threshold(depth))

@@ -34,7 +34,7 @@ from .errors import (AlreadyExiting, AlreadySlashed, CommitteeFull, CorruptLog,
                      OracleError, RequestNotPending, RequestPending, StakeTooLow)
 from .field import P
 from .merkle import (MAX_LOG_DEPTH, Account, MerkleProof, StateTree, empty_account,
-                     leaf_hash, proof_index, verify_proof)
+                     leaf_hash, verify_proof)
 
 MIN_STAKE = 100
 EXIT_DELAY = 7 * 24 * 3600  # two-step departure: announce, then wait this long
@@ -164,6 +164,7 @@ class Contract:
     # -- membership transactions -----------------------------------------
 
     def register(self, caller: str, pubkey: Point, ip: str, stake: int) -> int:
+        _check_newcomer(pubkey, stake)
         if stake < self.params.min_stake:
             raise InsufficientStake(f"stake {stake} below minimum {self.params.min_stake}")
         index = self._lowest_empty_index()
@@ -175,6 +176,7 @@ class Contract:
 
     def replace(self, caller: str, pubkey: Point, ip: str, stake: int,
                 target_index: int, target_account: Account, proof: MerkleProof) -> int:
+        _check_newcomer(pubkey, stake)
         self._check_account_proof(target_index, target_account, proof)
         if stake <= target_account.balance:
             raise StakeTooLow(f"stake {stake} must exceed target balance "
@@ -186,7 +188,7 @@ class Contract:
         return target_index
 
     def exit(self, caller: str, account: Account, proof: MerkleProof) -> float:
-        index = account.index
+        index = _index_of(account)
         if self.owner_of.get(index) != caller:
             raise NotOwner(f"{caller} does not own index {index}")
         if index in self.exit_time_of:
@@ -197,7 +199,7 @@ class Contract:
         return exit_time
 
     def withdraw(self, caller: str, account: Account, proof: MerkleProof) -> int:
-        index = account.index
+        index = _index_of(account)
         if index not in self.exit_time_of:
             raise NotExiting(f"index {index} never announced an exit")
         if self.owner_of.get(index) != caller:
@@ -212,6 +214,8 @@ class Contract:
     # -- request lifecycle -------------------------------------------------
 
     def request_block(self, client: str, block_number: int, fee: int) -> int:
+        if type(fee) is not int:
+            raise InvalidInput(f"fee is {type(fee).__name__}, not int")
         if fee < self.params.request_fee:
             raise FeeTooLow(f"fee {fee} below required {self.params.request_fee}")
         request_id = self.next_request_id
@@ -259,6 +263,8 @@ class Contract:
         """Refuse, before the backend parses it, a payload that is not bytes
         of the length every payload of this circuit has at this depth."""
         size = circuits.payload_size(circuit_id, self.params.depth)
+        if not isinstance(proof, Proof):
+            raise InvalidProof(f"{circuit_id} proof is {type(proof).__name__}, not Proof")
         if not isinstance(proof.payload, bytes):
             raise InvalidProof(f"{circuit_id} payload is not bytes")
         if len(proof.payload) != size:
@@ -341,8 +347,10 @@ class Contract:
         element, the bits flag t registered members, and the escrow covers the
         rewards."""
         params = self.params
-        if not 0 <= block_hash < P:
-            raise InvalidInput(f"block hash {block_hash} outside [0, P)")
+        if type(block_hash) is not int or not 0 <= block_hash < P:
+            raise InvalidInput("block hash is not an int in [0, P)")
+        if type(validator_bits) is not int:
+            raise InvalidInput(f"validator bits are {type(validator_bits).__name__}, not int")
         # bits at or above capacity are rejected without scanning them, so a
         # hostile million-bit value costs no quadratic scan
         voters = flagged_indices(validator_bits & ((1 << params.capacity) - 1))
@@ -397,12 +405,27 @@ class Contract:
 
     def _check_account_proof(self, index: int, account: Account,
                              proof: MerkleProof) -> None:
-        if (account.index != index or proof_index(proof) != index
+        if not isinstance(proof, MerkleProof):
+            raise InvalidProof(f"account proof is {type(proof).__name__}, not MerkleProof")
+        if (type(index) is not int or _index_of(account) != index
                 or proof.leaf != leaf_hash(account)
                 or len(proof.path) != self.params.depth
-                or not verify_proof(self.state_root, proof)):
+                or not verify_proof(self.state_root, index, proof)):
             raise InvalidProof(f"account proof for index {index} does not match "
                                "the current state root")
+
+
+def _check_newcomer(pubkey: Point, stake: int) -> None:
+    if not isinstance(pubkey, Point):
+        raise InvalidInput(f"public key is {type(pubkey).__name__}, not Point")
+    if type(stake) is not int:
+        raise InvalidInput(f"stake is {type(stake).__name__}, not int")
+
+
+def _index_of(account: Account) -> int:
+    if not isinstance(account, Account):
+        raise InvalidInput(f"account is {type(account).__name__}, not Account")
+    return account.index
 
 
 # -- shared tree updates (contract reducer, node sync, slash building) ---------

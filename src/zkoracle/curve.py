@@ -36,20 +36,14 @@ the one that returns the affine result.  Both multipliers are combs:
   A point seen once pays the 204 doublings and 30 additions of its table on
   top, which is about what the per-call 4-bit windows it replaced cost.
 
-Both products are memoized, 16 384 entries each, because the protocol
-multiplies the same keys and re-checks the same signatures: ``scalar_mul``
-over (k, point), and ``scalar_mul_base`` over k for keygen, a signer's public
-key and a check's s*G.  ``comb_mul_base`` is the same comb walk without the
-memo, for a scalar multiplied once: a signature's nonce, whose point is never
-multiplied again and would only push recurring entries out of the memo.
+Neither product is memoized: ``eddsa`` keeps the memos of what recurs, a
+signer's public key and a signature check's verdict.
 
-Signature checks compare s*G with R + c*pk projectively: ``add_projective``
-returns R + c*pk as (X, Y, Z) with Z = (1 + dxy)(1 - dxy), and the check is
-s*G.x * Z = X and s*G.y * Z = Y, so a warm check makes no inversion.  Z is
-nonzero for on-curve inputs (the addition law is complete), and every caller
-rejects off-curve points before the comparison matters.  Affine ``add``
-divides by the same Z with one inversion; only the tests and the benchmark's
-layer hooks still call it.
+``add_projective`` returns p + q as (X, Y, Z) with Z = (1 + dxy)(1 - dxy),
+without the inversion, for ``eddsa.sig_equation``'s comparison of s*G with
+R + c*pk.  Z is nonzero for on-curve inputs (the addition law is complete).
+Affine ``add`` divides by the same Z with one inversion; only the tests and
+the benchmark's layer hooks still call it.
 
 Inverses come from ``pow(z, -1, P)`` (extended Euclid, about ten times faster
 than Fermat's z^(P-2)), and 0 maps to 0 as under Fermat, so an off-curve
@@ -234,10 +228,6 @@ def _ext_add_affine(p, q):
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-# protocol hot paths re-verify identical signatures (vote intake, slash
-# building, proof verification); both multiplications are pure, so memoize them
-# (scalar_mul_base below, after its comb walk)
-@lru_cache(maxsize=1 << 14)
 def scalar_mul(k: int, p: Point) -> Point:
     """k*P for any point: one doubling and one addition per comb column, most
     significant first, over p's cached table.  An even k walks k + 1 and adds
@@ -295,10 +285,9 @@ def _base_comb() -> list:
 _BASE_COMB = _base_comb()
 
 
-def comb_mul_base(k: int) -> Point:
+def scalar_mul_base(k: int) -> Point:
     """k*GENERATOR: one mixed addition per nonzero signed 6-bit digit of k,
-    a negative digit adding the negated entry (-x, y, -D*x*y).  Not memoized,
-    for a scalar multiplied once, such as a signature's nonce."""
+    a negative digit adding the negated entry (-x, y, -D*x*y)."""
     k %= L
     if k == 0:
         return IDENTITY
@@ -316,13 +305,6 @@ def comb_mul_base(k: int) -> Point:
         elif digit:
             acc = _ext_add_affine(acc, row[digit - 1])
     return _from_ext(acc)
-
-
-@lru_cache(maxsize=1 << 14)
-def scalar_mul_base(k: int) -> Point:
-    """k*GENERATOR through the memo, for the scalars that recur: secret keys
-    and the s of a signature checked more than once."""
-    return comb_mul_base(k)
 
 
 # two scalars whose signed digits are nonzero in every row, so the check reads
@@ -360,7 +342,7 @@ def _check_parameters() -> None:
     if scalar_mul(2, GENERATOR) == IDENTITY:
         raise InvalidPoint("generator has low order")
     for k in _CHECK_SCALARS + _CHECK_KEY_SCALARS:
-        if comb_mul_base(k) != scalar_mul(k, GENERATOR):
+        if scalar_mul_base(k) != scalar_mul(k, GENERATOR):
             raise InvalidPoint("fixed-base comb disagrees with the variable-base multiplier")
     # last, so that it runs on a multiplier the two combs have checked
     if not in_prime_subgroup(GENERATOR):

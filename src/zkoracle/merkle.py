@@ -4,9 +4,9 @@ Leaves commit to (index, pubkey.x, pubkey.y, balance); unoccupied slots all
 carry the same empty leaf hash(0,0,0,0) so an all-empty subtree of height h is
 the h-fold self-hash of that constant, one precomputed hash per level.  A tree
 holds an account only for each occupied slot and None for the others, so
-building or copying one allocates no account per slot.  Direction bits in a
-proof are the binary decomposition of the leaf index, LSB first (0 = node is
-the left child).
+building or copying one allocates no account per slot.  A proof holds no
+direction bits: the leaf's index gives them, bit d set where the node at
+level d is a right child.
 
 Hashing waits for a read: set_account stores the account and marks its leaf
 and every ancestor stale, and root, prove and copy hash only the stale nodes
@@ -56,26 +56,26 @@ EMPTY_NODES = tuple(accumulate(range(MAX_LOG_DEPTH), lambda h, _: mimc_hash([h, 
 @dataclass(frozen=True, slots=True)
 class MerkleProof:
     leaf: int
-    path: tuple        # sibling hashes, leaf level first
-    directions: tuple  # one bit per level, LSB of the index first
+    path: tuple  # sibling hashes, leaf level first
 
 
-def proof_index(proof: MerkleProof) -> int:
-    """Leaf position implied by the direction bits."""
-    return sum(bit << level for level, bit in enumerate(proof.directions))
-
-
-def root_from_path(proof: MerkleProof) -> int:
-    if len(proof.path) != len(proof.directions) or not proof.path:
-        raise InvalidProof("sibling count and direction count must match and be non-empty")
+def root_from_path(index: int, proof: MerkleProof) -> int:
+    """The root that proof's leaf folds up to at position index; InvalidProof
+    for an index outside the path's 2^len(path) leaves."""
+    if not proof.path:
+        raise InvalidProof("a Merkle path has at least one sibling")
+    if index < 0 or index >> len(proof.path):
+        # no value in the message: a too-long int cannot be printed
+        raise InvalidProof(f"index outside a depth-{len(proof.path)} tree")
     h = proof.leaf
-    for sibling, bit in zip(proof.path, proof.directions):
-        h = mimc_hash([sibling, h]) if bit else mimc_hash([h, sibling])
+    for sibling in proof.path:
+        h = mimc_hash([sibling, h]) if index & 1 else mimc_hash([h, sibling])
+        index >>= 1
     return h
 
 
-def verify_proof(root: int, proof: MerkleProof) -> bool:
-    return root_from_path(proof) == root
+def verify_proof(root: int, index: int, proof: MerkleProof) -> bool:
+    return root_from_path(index, proof) == root
 
 
 class StateTree:
@@ -130,14 +130,8 @@ class StateTree:
     def prove(self, index: int) -> MerkleProof:
         """The leaf and its siblings; hashes only the stale nodes below them."""
         self._check_index(index)
-        path = []
-        directions = []
-        pos = index
-        for d in range(self.depth):
-            path.append(self._node(d, pos ^ 1))
-            directions.append(pos & 1)
-            pos >>= 1
-        return MerkleProof(self._node(0, index), tuple(path), tuple(directions))
+        return MerkleProof(self._node(0, index),
+                           tuple(self._node(d, index >> d ^ 1) for d in range(self.depth)))
 
     def copy(self) -> "StateTree":
         """An independent tree with the same accounts and no stale node."""

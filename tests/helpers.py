@@ -3,8 +3,8 @@
 import random
 from functools import cache
 
-from zkoracle import eddsa
-from zkoracle.circuits import COST_POINT_ADD, WORD, payload_size
+from zkoracle import curve, eddsa
+from zkoracle.circuits import COST_POINT_ADD, COST_SCALAR_MUL, WORD, payload_size
 from zkoracle.curve import (_EXT_IDENTITY, A, D, GENERATOR, IDENTITY, L, Point,
                             _ext_add, _ext_double, _to_ext)
 from zkoracle.errors import IndexMismatch, IndexOutOfRange
@@ -147,8 +147,9 @@ def ref_scalar_mul_base(k):
 
 # -- reference signature gadget -------------------------------------------------------
 # The affine form circuits._verify_sig replaced: R + c*pk is normalised with an
-# inversion and compared coordinate by coordinate.  check_aggregation and
-# check_slash must report the same ok, count and failure_site with either.
+# inversion and compared coordinate by coordinate, from products that no memo
+# holds.  check_aggregation and check_slash must report the same ok, count and
+# failure_site with either.
 
 
 def ref_verify_sig(cs, pk, msg, sig, site):
@@ -156,9 +157,9 @@ def ref_verify_sig(cs, pk, msg, sig, site):
     cs.on_curve(pk, f"{site}.pk-on-curve")
     cs.on_curve(sig.r, f"{site}.r-on-curve")
     c = cs.mimc([pk.x, pk.y, sig.r.x, sig.r.y, msg]) % L
-    lhs = cs.scalar_mul_base(sig.s % L)
-    cs.count += COST_POINT_ADD
-    rhs = ref_add(sig.r, cs.scalar_mul(c, pk))
+    cs.count += 2 * COST_SCALAR_MUL + COST_POINT_ADD
+    lhs = curve.scalar_mul_base(sig.s % L)
+    rhs = ref_add(sig.r, curve.scalar_mul(c, pk))
     cs.assert_eq(lhs.x, rhs.x, f"{site}.sig-x")
     cs.assert_eq(lhs.y, rhs.y, f"{site}.sig-y")
 
@@ -247,8 +248,7 @@ class RefTree:
 
     def prove(self, index):
         path = tuple(self.levels[d][(index >> d) ^ 1] for d in range(self.depth))
-        directions = tuple((index >> d) & 1 for d in range(self.depth))
-        return MerkleProof(self.levels[0][index], path, directions)
+        return MerkleProof(self.levels[0][index], path)
 
     def copy(self):
         dup = RefTree.__new__(RefTree)

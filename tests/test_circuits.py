@@ -273,7 +273,7 @@ def test_signature_check_matches_affine_reference(monkeypatch):
 def test_warm_signature_checks_make_no_inversion(monkeypatch):
     _, keys, votes, public, witness = honest_instance()
     msg = vote_message(0, 5, 777)
-    assert check_aggregation(public, witness).ok  # fills the scalar caches
+    assert check_aggregation(public, witness).ok  # fills the signature memo
     assert eddsa.verify_sig(keys[0].pk, msg, votes[0].signature)
 
     inversions = 0

@@ -8,7 +8,8 @@ import pytest
 
 from helpers import RefTree, honest_votes, hostile_payloads
 from zkoracle import circuits, eddsa
-from zkoracle.circuits import AGGREGATION, build_aggregation_witness, prove
+from zkoracle.circuits import (AGGREGATION, TRANSPARENT, Proof, build_aggregation_witness,
+                               prove)
 from zkoracle.contract import (SLASHED, Contract, Event, Params, apply_slash_transfer,
                                dump_events, dump_log, parse_events, parse_log, replay)
 from zkoracle.errors import (AlreadyExiting, AlreadySlashed, CommitteeFull,
@@ -691,6 +692,52 @@ def test_oversize_payloads_refused_before_verification(monkeypatch):
     assert calls == []
     contract.slash("owner-0", 0, 3, s_public.post_state_root, s_proof)
     assert calls == [circuits.SLASH]
+
+
+def ill_typed_setup():
+    """Five members of a depth-3 tree, request 0 answered by index 0 and
+    request 1 pending with index 1 its aggregator; three slots are free."""
+    contract = Contract(Params(depth=3))
+    keys = fresh_keys(6)
+    register_all(contract, keys[:5])
+    contract.request_block("client", 10, contract.params.request_fee)
+    answer_request(contract, keys, 0)
+    contract.request_block("client", 11, contract.params.request_fee)
+    return contract, keys[5].pk
+
+
+EMPTY_AGGREGATION = Proof(TRANSPARENT, AGGREGATION, b"")
+
+# each call passes one ill-typed argument where a well-typed one would get
+# past every check before it
+ILL_TYPED_CALLS = {
+    "submit_block proof=None": lambda c, pk: c.submit_block(
+        "owner-1", 1, 777, 0b11111, 0, None),
+    "submit_block block_hash='5'": lambda c, pk: c.submit_block(
+        "owner-1", 1, "5", 0b11111, 0, EMPTY_AGGREGATION),
+    "submit_block validator_bits='7'": lambda c, pk: c.submit_block(
+        "owner-1", 1, 777, "7", 0, EMPTY_AGGREGATION),
+    "slash proof=None": lambda c, pk: c.slash("owner-0", 0, 4, 0, None),
+    "request_block fee='1000'": lambda c, pk: c.request_block("client", 12, "1000"),
+    "register pubkey=(1, 2)": lambda c, pk: c.register("n", (1, 2), "ip", 100),
+    "register stake='100'": lambda c, pk: c.register("n", pk, "ip", "100"),
+    "replace pubkey=(1, 2)": lambda c, pk: c.replace(
+        "n", (1, 2), "ip", 500, 2, c.account(2), c.prove(2)),
+    "replace target_account=None": lambda c, pk: c.replace(
+        "n", pk, "ip", 500, 2, None, c.prove(2)),
+    "exit account=None": lambda c, pk: c.exit("owner-2", None, c.prove(2)),
+    "exit proof=None": lambda c, pk: c.exit("owner-2", c.account(2), None),
+    "withdraw account=None": lambda c, pk: c.withdraw("owner-2", None, c.prove(2)),
+}
+
+
+@pytest.mark.parametrize("call", ILL_TYPED_CALLS.values(), ids=ILL_TYPED_CALLS.keys())
+def test_ill_typed_arguments_raise_oracle_error(call):
+    contract, newcomer = ill_typed_setup()
+    log = dump_log(contract)
+    with pytest.raises(OracleError):
+        call(contract, newcomer)
+    assert dump_log(contract) == log
 
 
 # -- replay and event log --------------------------------------------------------------------

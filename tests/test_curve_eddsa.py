@@ -75,9 +75,8 @@ def test_kernels_match_reference():
                                            for t in TORSION[1:] + [ORDER_8]]
     expected = {(k, pt): ref_scalar_mul(k, pt) for pt in points
                 for k in scalars[:11] + rng.sample(scalars[11:], 8)}
-    for _ in range(2):  # from empty caches, then again after refilling them
+    for _ in range(2):  # from empty comb tables, then again after refilling them
         curve._comb_table.cache_clear()
-        scalar_mul.cache_clear()
         for (k, pt), product in expected.items():
             assert scalar_mul(k, pt) == product, (k, pt)
 
@@ -95,7 +94,6 @@ def test_comb_doubles_once_per_column_and_builds_one_table_per_point(monkeypatch
     rng = random.Random(22)
     keys = [scalar_mul_base(rng.randrange(1, L)) for _ in range(512)]
     curve._comb_table.cache_clear()
-    scalar_mul.cache_clear()
     for _ in range(2):  # two full depth-8 committees, every key checked twice
         for pk in keys:
             scalar_mul(rng.randrange(1, L), pk)
@@ -186,7 +184,6 @@ def test_signed_comb_matches_reference_through_every_carry():
     assert signed_digits(from_windows([full] * (rows - 1), 0)) == [-1] + [0] * (rows - 2) + [1]
     scalars += [0, 1, L - 1, L, L + 1, (1 << 251) - 1, (1 << 256) - 1]
     for k in scalars:
-        scalar_mul_base.cache_clear()
         assert scalar_mul_base(k) == ref_scalar_mul_base(k), hex(k)
 
 
@@ -208,13 +205,11 @@ def test_corrupt_comb_table_fails_the_import_check(monkeypatch):
         corrupt[40][entry] = corrupt[40][entry ^ 1]
         monkeypatch.setattr(curve, "_BASE_COMB", corrupt)
         monkeypatch.setattr(curve, "_CHECK_SCALARS", (k,))
-        scalar_mul_base.cache_clear()
         try:
             with pytest.raises(InvalidPoint):
                 curve._check_parameters()
         finally:
             monkeypatch.undo()
-            scalar_mul_base.cache_clear()
 
 
 def test_subgroup_check_tells_keys_from_torsion_shifts():
@@ -240,12 +235,11 @@ def test_generator_outside_the_subgroup_fails_the_import_check(monkeypatch):
     monkeypatch.setattr(curve, "_BASE_COMB", curve._base_comb())
     try:
         for k in curve._CHECK_SCALARS + curve._CHECK_KEY_SCALARS:
-            assert curve.comb_mul_base(k) == scalar_mul(k, shifted)
+            assert scalar_mul_base(k) == scalar_mul(k, shifted)
         with pytest.raises(InvalidPoint, match="order L"):
             curve._check_parameters()
     finally:
         monkeypatch.undo()
-        scalar_mul.cache_clear()
         curve._comb_table.cache_clear()
 
 
@@ -286,13 +280,11 @@ def test_corrupt_key_table_fails_the_import_check(monkeypatch):
         monkeypatch.setattr(curve, "_comb_table", lambda p: corrupt)  # only G is multiplied
         monkeypatch.setattr(curve, "_CHECK_SCALARS", ())
         monkeypatch.setattr(curve, "_CHECK_KEY_SCALARS", (k,))
-        scalar_mul.cache_clear()
         try:
             with pytest.raises(InvalidPoint, match="disagrees"):
                 curve._check_parameters()
         finally:
             monkeypatch.undo()
-            scalar_mul.cache_clear()
 
 
 def test_even_and_odd_scalars_match_reference_off_the_subgroup():
@@ -307,7 +299,6 @@ def test_even_and_odd_scalars_match_reference_off_the_subgroup():
     for pt in points:
         for k in scalars:
             curve._comb_table.cache_clear()
-            scalar_mul.cache_clear()
             assert scalar_mul(k, pt) == ref_scalar_mul(k, pt), (k, pt)
 
 
@@ -360,16 +351,22 @@ def test_nonce_deterministic_in_range_and_bound_to_key_and_message():
     assert eddsa.sign(sks[0], msgs[0]).r == curve.scalar_mul_base(eddsa.nonce(sks[0], msgs[0]))
 
 
-def test_sign_leaves_the_fixed_base_memo_as_keygen_left_it():
-    """A nonce's point is multiplied once, so sign keeps it out of the
-    scalar_mul_base memo; the key's product is already there."""
-    scalar_mul_base.cache_clear()
+def test_sign_walks_the_base_comb_once_and_reads_its_key_from_the_memo(monkeypatch):
+    """sign derives its key itself, from the public_key memo that keygen
+    filled, so its one fixed-base walk is the nonce's."""
+    walked = []
+    walk = curve.scalar_mul_base
+    monkeypatch.setattr(curve, "scalar_mul_base", lambda k: walked.append(k) or walk(k))
+    eddsa.public_key.cache_clear()
     kp = eddsa.keygen(b"\x0b" * 32)
-    assert scalar_mul_base.cache_info()[1:] == (1, 1 << 14, 1)  # misses, max, size
+    assert walked == [kp.sk]
+    assert eddsa.public_key.cache_info()[:2] == (0, 1)  # hits, misses
     for msg in range(5):
         sig = eddsa.sign(kp.sk, msg)
+        assert walked[-1] == eddsa.nonce(kp.sk, msg)
         assert sig.r == ref_scalar_mul_base(eddsa.nonce(kp.sk, msg))
-    assert scalar_mul_base.cache_info() == (5, 1, 1 << 14, 1)  # one hit per pk lookup
+    assert len(walked) == 1 + 5
+    assert eddsa.public_key.cache_info()[:2] == (5, 1)  # one hit per signature
 
 
 def test_sign_hashes_only_the_challenge_with_mimc(monkeypatch):

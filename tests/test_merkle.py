@@ -14,8 +14,7 @@ from zkoracle import eddsa, merkle
 from zkoracle.errors import IndexMismatch, IndexOutOfRange, InvalidProof
 from zkoracle.merkle import (EMPTY_LEAF, MAX_LOG_DEPTH, Account, MerkleProof,
                              StateTree, dump_snapshot, empty_account, leaf_hash,
-                             load_snapshot, proof_index, root_from_path,
-                             verify_proof)
+                             load_snapshot, root_from_path, verify_proof)
 from zkoracle.mimc import mimc_hash
 
 EMPTY_LEAF_FROZEN = 17683159034002903499172969622391991084470788025616159899169873672834613880211
@@ -119,42 +118,51 @@ def test_prove_verify_completeness():
     tree, _ = build_committee(3, count=5)
     for index in range(tree.capacity):
         proof = tree.prove(index)
-        assert verify_proof(tree.root, proof)
-        assert proof_index(proof) == index
+        assert len(proof.path) == tree.depth
+        assert verify_proof(tree.root, index, proof)
 
 
 def test_directions_are_index_bits():
-    tree = StateTree(2)
-    assert tree.prove(3).directions == (1, 1)
-    assert tree.prove(2).directions == (0, 1)
+    # bit d of the index puts the level-d node right of its sibling
+    proof = MerkleProof(5, (11, 22))
+    assert root_from_path(3, proof) == mimc_hash([22, mimc_hash([11, 5])])
+    assert root_from_path(2, proof) == mimc_hash([22, mimc_hash([5, 11])])
 
 
 def test_stale_proof_fails_after_other_leaf_changes():
     tree, keys = build_committee(2)
     proof = tree.prove(1)
     tree.set_account(3, Account(3, keys[3].pk, 999))
-    assert not verify_proof(tree.root, proof)
+    assert not verify_proof(tree.root, 1, proof)
 
 
 def test_root_from_path_single_fold():
     leaf, sibling = 11, 22
-    proof = MerkleProof(leaf, (sibling,), (0,))
-    assert root_from_path(proof) == mimc_hash([leaf, sibling])
-    proof_right = MerkleProof(leaf, (sibling,), (1,))
-    assert root_from_path(proof_right) == mimc_hash([sibling, leaf])
+    proof = MerkleProof(leaf, (sibling,))
+    assert root_from_path(0, proof) == mimc_hash([leaf, sibling])
+    assert root_from_path(1, proof) == mimc_hash([sibling, leaf])
 
 
 def test_root_from_path_inverts_prove():
     tree, _ = build_committee(3)
     for index in (0, 3, 7):
-        assert root_from_path(tree.prove(index)) == tree.root
+        assert root_from_path(index, tree.prove(index)) == tree.root
 
 
 def test_malformed_proof_rejected():
     with pytest.raises(InvalidProof):
-        root_from_path(MerkleProof(1, (2, 3), (0,)))
-    with pytest.raises(InvalidProof):
-        root_from_path(MerkleProof(1, (), ()))
+        root_from_path(0, MerkleProof(1, ()))
+
+
+def test_index_outside_the_path_rejected():
+    # an index is read whole, never by its low D bits alone: a depth-2 proof
+    # of leaf 0 says nothing about index 4, whose low two bits are 0
+    tree, _ = build_committee(2)
+    proof = tree.prove(0)
+    assert verify_proof(tree.root, 0, proof)
+    for index in (-1, -4, 4, 5, 1 << 64, 1 << 20_000):
+        with pytest.raises(InvalidProof):
+            verify_proof(tree.root, index, proof)
 
 
 def test_path_update_equivalence():
@@ -173,11 +181,11 @@ def test_path_update_equivalence():
         index = rng.choice(occupied)
         proof = tree.prove(index)
         new_account = replace(tree.account(index), balance=rng.randint(0, 10_000))
-        substituted = MerkleProof(leaf_hash(new_account), proof.path, proof.directions)
+        substituted = MerkleProof(leaf_hash(new_account), proof.path)
 
         updated = tree.copy()
         updated.set_account(index, new_account)
-        assert root_from_path(substituted) == updated.root, f"case {case}"
+        assert root_from_path(index, substituted) == updated.root, f"case {case}"
 
 
 def test_proof_soundness_brute_force_small_depths():
@@ -187,18 +195,17 @@ def test_proof_soundness_brute_force_small_depths():
         root = tree.root
         for index in range(tree.capacity):
             proof = tree.prove(index)
-            assert verify_proof(root, proof)
-            assert not verify_proof(root + 1, proof)
-            perturbed = [MerkleProof(proof.leaf + 1, proof.path, proof.directions)]
+            assert verify_proof(root, index, proof)
+            assert not verify_proof(root + 1, index, proof)
+            perturbed = [(index, MerkleProof(proof.leaf + 1, proof.path))]
             for level in range(depth):
                 path = list(proof.path)
                 path[level] += 1
-                perturbed.append(MerkleProof(proof.leaf, tuple(path), proof.directions))
-                dirs = list(proof.directions)
-                dirs[level] ^= 1
-                perturbed.append(MerkleProof(proof.leaf, proof.path, tuple(dirs)))
-            for bad in perturbed:
-                assert not verify_proof(root, bad)
+                perturbed.append((index, MerkleProof(proof.leaf, tuple(path))))
+                # a direction flipped is the proof read at another index
+                perturbed.append((index ^ 1 << level, proof))
+            for bad_index, bad in perturbed:
+                assert not verify_proof(root, bad_index, bad)
 
 
 def test_rebuild_determinism():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from zkoracle import circuits, eddsa, mimc
+from zkoracle import circuits, curve, eddsa, mimc
 from zkoracle.circuits import SLASH
 from zkoracle.contract import Contract, Params, apply_slash_transfer
 from zkoracle.curve import L
@@ -294,6 +294,30 @@ def test_submission_deterministic_across_nodes():
     (a, a_proof), (b, b_proof) = results
     assert a == b
     assert a_proof.payload == b_proof.payload
+
+
+def test_contract_recheck_of_checked_votes_makes_no_curve_arithmetic(monkeypatch):
+    # the aggregator's on_vote checked each packaged signature, so the
+    # contract's circuit reads their verdicts: no doubling, no comb addition
+    contract, nodes = committee_with_contract()
+    request_id = contract.request_block("client", 10, contract.params.request_fee)
+    agg = nodes[contract.get_aggregator()]
+    for node in nodes:
+        assert agg.on_vote(make_vote(node.keypair.sk, node.index, request_id, 4242)) \
+            == (True, None)
+    public, proof = agg.try_submit(request_id)
+    calls = []
+    for name in ("_ext_double", "_ext_add_affine"):
+        kernel = getattr(curve, name)
+        monkeypatch.setattr(curve, name,
+                            lambda *args, name=name, kernel=kernel:
+                            calls.append(name) or kernel(*args))
+    contract.submit_block(agg.name, request_id, 4242, public.validator_bits,
+                          public.post_state_root, proof)
+    assert contract.requests[request_id].status == "answered"
+    assert calls == []
+    curve.scalar_mul_base(12345)  # the counters do count
+    assert "_ext_add_affine" in calls
 
 
 # -- slashing ---------------------------------------------------------------------------------
