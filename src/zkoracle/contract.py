@@ -7,6 +7,10 @@ payload value that the log could not write and read back as its field's
 type, so every event the contract emits parses back.  The tree part of every
 event is `apply_event_to_tree`, which off-chain nodes also sync with.
 
+Every entry point that takes an argument is `_typed`: before it reads any,
+it checks each against the type its signature annotates, so an ill-typed
+argument is an OracleError, never another exception.
+
 Proofs are checked by `circuits.verify` under the one backend id,
 `circuits.TRANSPARENT`, never the id a proof names, so a proof for another
 backend or circuit is an `InvalidProof`.
@@ -20,8 +24,10 @@ The aggregator rotates round robin: the first member at or after a cursor
 that moves past each submitting or timed-out aggregator.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, fields
+from functools import wraps
 from typing import ClassVar, Optional
 
 from . import circuits, curve
@@ -107,6 +113,36 @@ EVENT_KINDS = (REGISTERED, REPLACED, EXITED, WITHDRAWN, BLOCK_REQUESTED,
                BLOCK_SUBMITTED, SLASHED, AGGREGATOR_TIMEOUT)
 
 
+def _well_typed(kind: type, value) -> bool:
+    """Whether value is an int, float or str the log reads back, a tuple of
+    such ints, bytes, or exactly a kind whose annotated fields are well typed."""
+    if kind in _DECODERS:
+        return _reads_back(kind, value)
+    if kind is tuple:
+        return type(value) is tuple and all(_reads_back(int, v) for v in value)
+    if kind is bytes:
+        return type(value) is bytes
+    return type(value) is kind and all(_well_typed(field_kind, getattr(value, name))
+                                       for name, field_kind in kind.__annotations__.items())
+
+
+def _typed(method):
+    """Refuse, before the method runs, an argument not of its annotated type:
+    a Proof or MerkleProof as an InvalidProof, any other as an InvalidInput."""
+    kinds = {name: method.__annotations__[name]
+             for name in list(inspect.signature(method).parameters)[1:]}  # after self
+
+    @wraps(method)
+    def checked(self, *args, **kwargs):
+        for name, value in [*zip(kinds, args), *kwargs.items()]:
+            kind = kinds.get(name)
+            if kind is not None and not _well_typed(kind, value):
+                error = InvalidProof if kind in (Proof, MerkleProof) else InvalidInput
+                raise error(f"{method.__name__}: {name} is not a {kind.__name__}")
+        return method(self, *args, **kwargs)
+    return checked
+
+
 class Contract:
     def __init__(self, params: Params = Params()):
         self.params = params
@@ -128,9 +164,11 @@ class Contract:
     def state_root(self) -> int:
         return self._tree.root
 
+    @_typed
     def account(self, index: int) -> Account:
         return self._tree.account(index)
 
+    @_typed
     def prove(self, index: int) -> MerkleProof:
         return self._tree.prove(index)
 
@@ -154,17 +192,16 @@ class Contract:
 
     # -- time -----------------------------------------------------------
 
+    @_typed
     def set_time(self, t: float) -> None:
-        if not _reads_back(float, t):
-            raise InvalidInput(f"time {t!r} is not a finite number")
         if t < self.now:
             raise InvalidInput("time cannot move backwards")
         self.now = float(t)  # the type the log reads an event's time back as
 
     # -- membership transactions -----------------------------------------
 
+    @_typed
     def register(self, caller: str, pubkey: Point, ip: str, stake: int) -> int:
-        _check_newcomer(pubkey, stake)
         if stake < self.params.min_stake:
             raise InsufficientStake(f"stake {stake} below minimum {self.params.min_stake}")
         index = self._lowest_empty_index()
@@ -174,9 +211,9 @@ class Contract:
                    pubkey_x=pubkey.x, pubkey_y=pubkey.y, stake=stake)
         return index
 
+    @_typed
     def replace(self, caller: str, pubkey: Point, ip: str, stake: int,
                 target_index: int, target_account: Account, proof: MerkleProof) -> int:
-        _check_newcomer(pubkey, stake)
         self._check_account_proof(target_index, target_account, proof)
         if stake <= target_account.balance:
             raise StakeTooLow(f"stake {stake} must exceed target balance "
@@ -187,8 +224,9 @@ class Contract:
                    returned=target_account.balance)
         return target_index
 
+    @_typed
     def exit(self, caller: str, account: Account, proof: MerkleProof) -> float:
-        index = _index_of(account)
+        index = account.index
         if self.owner_of.get(index) != caller:
             raise NotOwner(f"{caller} does not own index {index}")
         if index in self.exit_time_of:
@@ -198,8 +236,9 @@ class Contract:
         self._emit(EXITED, index=index, exit_time=exit_time)
         return exit_time
 
+    @_typed
     def withdraw(self, caller: str, account: Account, proof: MerkleProof) -> int:
-        index = _index_of(account)
+        index = account.index
         if index not in self.exit_time_of:
             raise NotExiting(f"index {index} never announced an exit")
         if self.owner_of.get(index) != caller:
@@ -213,9 +252,8 @@ class Contract:
 
     # -- request lifecycle -------------------------------------------------
 
+    @_typed
     def request_block(self, client: str, block_number: int, fee: int) -> int:
-        if type(fee) is not int:
-            raise InvalidInput(f"fee is {type(fee).__name__}, not int")
         if fee < self.params.request_fee:
             raise FeeTooLow(f"fee {fee} below required {self.params.request_fee}")
         request_id = self.next_request_id
@@ -223,6 +261,7 @@ class Contract:
                    fee=fee, client=client)
         return request_id
 
+    @_typed
     def submit_block(self, caller: str, request_id: int, block_hash: int,
                      validator_bits: int, post_state_root: int, proof: Proof) -> None:
         agg_index = self.get_aggregator()
@@ -243,6 +282,7 @@ class Contract:
                    block_hash=block_hash, validator_bits=validator_bits,
                    post_state_root=post_state_root)
 
+    @_typed
     def slash(self, caller: str, request_id: int, val_index: int,
               post_state_root: int, proof: Proof) -> None:
         """Only the aggregator that answered the request may slash a dissenter
@@ -260,13 +300,9 @@ class Contract:
                    val_index=val_index, post_state_root=post_state_root)
 
     def _check_payload_size(self, circuit_id: str, proof: Proof) -> None:
-        """Refuse, before the backend parses it, a payload that is not bytes
-        of the length every payload of this circuit has at this depth."""
+        """Refuse, before the backend parses it, a payload that is not of
+        the length every payload of this circuit has at this depth."""
         size = circuits.payload_size(circuit_id, self.params.depth)
-        if not isinstance(proof, Proof):
-            raise InvalidProof(f"{circuit_id} proof is {type(proof).__name__}, not Proof")
-        if not isinstance(proof.payload, bytes):
-            raise InvalidProof(f"{circuit_id} payload is not bytes")
         if len(proof.payload) != size:
             raise InvalidProof(f"{circuit_id} payload of {len(proof.payload)} bytes "
                                f"at depth {self.params.depth}, where every one "
@@ -295,6 +331,11 @@ class Contract:
             curve.require_on_curve(Point(p["pubkey_x"], p["pubkey_y"]))
             if not 0 <= p["stake"] < MAX_BALANCE:
                 raise InvalidInput(f"stake {p['stake']} outside [0, 2^128)")
+            # an account proof does not pin the balance paid out: its fields
+            # hash modulo P, so balance + P proves as well as balance
+            if kind == REPLACED and p["returned"] != self._tree.account(p["index"]).balance:
+                raise InvalidInput(f"index {p['index']} returns {p['returned']}, "
+                                   "not its balance")
             apply_event_to_tree(self._tree, event)
             self.owner_of[p["index"]] = p["owner"]
             self.ip_of[p["index"]] = p["ip"]
@@ -304,6 +345,8 @@ class Contract:
             self.exit_time_of[p["index"]] = p["exit_time"]
         elif kind == WITHDRAWN:
             self._require_member(p["index"])
+            if p["amount"] != self._tree.account(p["index"]).balance:
+                raise InvalidInput(f"index {p['index']} pays {p['amount']}, not its balance")
             apply_event_to_tree(self._tree, event)
             del self.owner_of[p["index"]]
             del self.ip_of[p["index"]]
@@ -311,6 +354,10 @@ class Contract:
         elif kind == BLOCK_REQUESTED:
             if p["request_id"] != self.next_request_id:
                 raise InvalidInput(f"request id {p['request_id']} out of order")
+            if not (0 <= p["block_number"] < 1 << 64
+                    and params.request_fee <= p["fee"] < MAX_BALANCE):
+                raise InvalidInput(f"block number {p['block_number']} outside [0, 2^64) "
+                                   f"or fee {p['fee']} outside [request fee, 2^128)")
             self.requests[p["request_id"]] = Request(
                 p["request_id"], p["block_number"], p["fee"], p["client"])
             self.next_request_id += 1
@@ -347,10 +394,8 @@ class Contract:
         element, the bits flag t registered members, and the escrow covers the
         rewards."""
         params = self.params
-        if type(block_hash) is not int or not 0 <= block_hash < P:
+        if not 0 <= block_hash < P:
             raise InvalidInput("block hash is not an int in [0, P)")
-        if type(validator_bits) is not int:
-            raise InvalidInput(f"validator bits are {type(validator_bits).__name__}, not int")
         # bits at or above capacity are rejected without scanning them, so a
         # hostile million-bit value costs no quadratic scan
         voters = flagged_indices(validator_bits & ((1 << params.capacity) - 1))
@@ -405,27 +450,11 @@ class Contract:
 
     def _check_account_proof(self, index: int, account: Account,
                              proof: MerkleProof) -> None:
-        if not isinstance(proof, MerkleProof):
-            raise InvalidProof(f"account proof is {type(proof).__name__}, not MerkleProof")
-        if (type(index) is not int or _index_of(account) != index
-                or proof.leaf != leaf_hash(account)
+        if (account.index != index or proof.leaf != leaf_hash(account)
                 or len(proof.path) != self.params.depth
                 or not verify_proof(self.state_root, index, proof)):
             raise InvalidProof(f"account proof for index {index} does not match "
                                "the current state root")
-
-
-def _check_newcomer(pubkey: Point, stake: int) -> None:
-    if not isinstance(pubkey, Point):
-        raise InvalidInput(f"public key is {type(pubkey).__name__}, not Point")
-    if type(stake) is not int:
-        raise InvalidInput(f"stake is {type(stake).__name__}, not int")
-
-
-def _index_of(account: Account) -> int:
-    if not isinstance(account, Account):
-        raise InvalidInput(f"account is {type(account).__name__}, not Account")
-    return account.index
 
 
 # -- shared tree updates (contract reducer, node sync, slash building) ---------

@@ -99,16 +99,19 @@ class OracleNode:
 
     # -- validator side -----------------------------------------------------
 
-    def answer(self, block_number: int, chain) -> int:
+    def answer(self, block_number: int, chain) -> Optional[int]:
         """The block hash this node answers a request for block_number with,
-        from the synced chain view; 0 means 'absent or not final', which is a
-        definitive answer, unlike an unreachable chain.  A block is final once
-        the canonical branch reaches FINALITY blocks past it.  Signing the
-        answer is the caller's step, so an answer that never goes on the wire
-        costs no signature."""
+        from the synced chain view, or None when its view cannot decide: the
+        block is absent or not final.  Such a node signs nothing, so only a
+        signed hash can be slashed as a dissent, never a slow view.  A request
+        for a block that never becomes final is answered by no one, and it
+        times out through the committee.  A block is final once the canonical
+        branch reaches FINALITY blocks past it.  Signing the answer is the
+        caller's step, so an answer that never goes on the wire costs no
+        signature."""
         block = chain.block_at(block_number)
         if block is None or chain.tip - block_number < FINALITY:
-            return 0
+            return None
         return block.hash % P
 
     # -- aggregator side ------------------------------------------------------

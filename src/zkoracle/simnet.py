@@ -320,11 +320,13 @@ def _run_request(round_index, clock, chain, bus, contract, nodes, behavior):
     request_id = contract.request_block("client-0", block_number,
                                         contract.params.request_fee)
     plans = []
-    # answers read only the chain; a node syncs its tree when it aggregates
+    # answers read only the chain; a node syncs its tree when it aggregates,
+    # and plans no vote when its view cannot decide
     for node in nodes:
         answer = node.answer(block_number, chain)
-        plans.append(_behavior_plan(behavior[node.index], node, answer,
-                                    request_id, round_index))
+        plans.append([] if answer is None else
+                     _behavior_plan(behavior[node.index], node, answer, request_id,
+                                    round_index))
     node_at_ip = {contract.ip_of[n.index]: n for n in nodes}
 
     submission = None

@@ -68,6 +68,16 @@ def hostile_payloads(circuit, payload):
     return mutants + [payload.decode("latin-1")]
 
 
+# One value of each kind a typed entry point meets from a hostile caller,
+# keyed by a label, since a test id cannot print 10**5000.  Every int among
+# them lies outside the range of every int argument the contract takes.
+HOSTILE_VALUES = {
+    "None": None, "'7'": "7", "1.5": 1.5, "True": True, "-1": -1,
+    "10**5000": 10**5000, "-10**5000": -10**5000, "(1, 2)": (1, 2), "[1, 2]": [1, 2],
+    "{}": {},
+}
+
+
 def random_occupied_tree(rng: random.Random, depth, keys, min_occupied):
     """Random occupancy and balances over a fixed keypair pool."""
     capacity = 1 << depth

@@ -1,17 +1,20 @@
 """Contract state machine tests: membership, requests, proof-gated updates,
 slashing, event log replay."""
 
+import copy
+import inspect
 import random
 from dataclasses import fields, replace
+from functools import cache
 
 import pytest
 
-from helpers import RefTree, honest_votes, hostile_payloads
+from helpers import HOSTILE_VALUES, RefTree, honest_votes, hostile_payloads
 from zkoracle import circuits, eddsa
-from zkoracle.circuits import (AGGREGATION, TRANSPARENT, Proof, build_aggregation_witness,
-                               prove)
-from zkoracle.contract import (SLASHED, Contract, Event, Params, apply_slash_transfer,
-                               dump_events, dump_log, parse_events, parse_log, replay)
+from zkoracle.circuits import AGGREGATION, TRANSPARENT, build_aggregation_witness, prove
+from zkoracle.contract import (MAX_BALANCE, SLASHED, Contract, Event, Params,
+                               apply_slash_transfer, dump_events, dump_log, parse_events,
+                               parse_log, replay)
 from zkoracle.errors import (AlreadyExiting, AlreadySlashed, CommitteeFull,
                              CorruptLog, ExitTimeNotReached, FeeTooLow,
                              InsufficientStake, InvalidInput, InvalidProof,
@@ -694,50 +697,150 @@ def test_oversize_payloads_refused_before_verification(monkeypatch):
     assert calls == [circuits.SLASH]
 
 
-def ill_typed_setup():
-    """Five members of a depth-3 tree, request 0 answered by index 0 and
-    request 1 pending with index 1 its aggregator; three slots are free."""
+@cache
+def well_typed_setup():
+    """A contract and, for each typed entry point, arguments with which it
+    applies.  Six members of a depth-3 tree; request 0 answered by index 0
+    without index 5, whose dissent is slashable; request 1 pending, index 1
+    its aggregator, with a proven answer; index 3 past its exit time; two
+    slots free."""
     contract = Contract(Params(depth=3))
-    keys = fresh_keys(6)
-    register_all(contract, keys[:5])
-    contract.request_block("client", 10, contract.params.request_fee)
+    keys = fresh_keys(7)
+    register_all(contract, keys[:6])
+    fee = contract.params.request_fee
+    contract.request_block("client", 10, fee)
     answer_request(contract, keys, 0)
-    contract.request_block("client", 11, contract.params.request_fee)
-    return contract, keys[5].pk
+    s_public, witness = circuits.build_slash_witness(
+        contract.tree_snapshot(), 0, make_vote(keys[5].sk, 5, 0, 888), 0, 777)
+    s_proof = prove(TRANSPARENT, circuits.SLASH, s_public, witness)
+    contract.request_block("client", 11, fee)
+    votes = honest_votes(keys, range(contract.params.threshold), 1, 778)
+    public, witness = build_aggregation_witness(contract.tree_snapshot(), 1, votes, 1, 778)
+    proof = prove(TRANSPARENT, AGGREGATION, public, witness)
+    contract.exit("owner-3", contract.account(3), contract.prove(3))
+    contract.set_time(contract.exit_time_of[3])
+    pk = keys[6].pk
+    return contract, {
+        "account": (0,), "prove": (0,), "set_time": (contract.now + 1,),
+        "register": ("newcomer", pk, "10.0.0.9", 100),
+        "replace": ("newcomer", pk, "10.0.0.9", 500, 2, contract.account(2),
+                    contract.prove(2)),
+        "exit": ("owner-2", contract.account(2), contract.prove(2)),
+        "withdraw": ("owner-3", contract.account(3), contract.prove(3)),
+        "request_block": ("client", 12, fee),
+        "submit_block": ("owner-1", 1, 778, public.validator_bits, public.post_state_root,
+                         proof),
+        "slash": ("owner-0", 0, 5, s_public.post_state_root, s_proof),
+    }
 
 
-EMPTY_AGGREGATION = Proof(TRANSPARENT, AGGREGATION, b"")
+TYPED_METHODS = {name: method for name, method in vars(Contract).items()
+                 if hasattr(method, "__wrapped__")}
 
-# each call passes one ill-typed argument where a well-typed one would get
-# past every check before it
-ILL_TYPED_CALLS = {
-    "submit_block proof=None": lambda c, pk: c.submit_block(
-        "owner-1", 1, 777, 0b11111, 0, None),
-    "submit_block block_hash='5'": lambda c, pk: c.submit_block(
-        "owner-1", 1, "5", 0b11111, 0, EMPTY_AGGREGATION),
-    "submit_block validator_bits='7'": lambda c, pk: c.submit_block(
-        "owner-1", 1, 777, "7", 0, EMPTY_AGGREGATION),
-    "slash proof=None": lambda c, pk: c.slash("owner-0", 0, 4, 0, None),
-    "request_block fee='1000'": lambda c, pk: c.request_block("client", 12, "1000"),
-    "register pubkey=(1, 2)": lambda c, pk: c.register("n", (1, 2), "ip", 100),
-    "register stake='100'": lambda c, pk: c.register("n", pk, "ip", "100"),
-    "replace pubkey=(1, 2)": lambda c, pk: c.replace(
-        "n", (1, 2), "ip", 500, 2, c.account(2), c.prove(2)),
-    "replace target_account=None": lambda c, pk: c.replace(
-        "n", pk, "ip", 500, 2, None, c.prove(2)),
-    "exit account=None": lambda c, pk: c.exit("owner-2", None, c.prove(2)),
-    "exit proof=None": lambda c, pk: c.exit("owner-2", c.account(2), None),
-    "withdraw account=None": lambda c, pk: c.withdraw("owner-2", None, c.prove(2)),
-}
+# values refused, beside every hostile int, where their type is right
+OUT_OF_RANGE = {("request_block", "block_number"): {"2**64": 1 << 64},
+                ("request_block", "fee"): {"MAX_BALANCE": MAX_BALANCE}}
 
 
-@pytest.mark.parametrize("call", ILL_TYPED_CALLS.values(), ids=ILL_TYPED_CALLS.keys())
-def test_ill_typed_arguments_raise_oracle_error(call):
-    contract, newcomer = ill_typed_setup()
+def hostile_cases():
+    """Cases (method, position, place, value, refused) for each typed method,
+    each parameter and each hostile value in its place; for a record
+    parameter also in place of each of its fields, and of the first element
+    of a tuple field.  A value not of its place's type must be refused, and
+    so must every int, which is out of range everywhere; a str or a tuple
+    where one belongs may apply."""
+    cases = []
+    for name, method in TYPED_METHODS.items():
+        params = list(inspect.signature(method).parameters)[1:]  # after self
+        for position, param in enumerate(params):
+            kind = method.__annotations__[param]
+            places = [((), kind)]
+            for field, field_kind in getattr(kind, "__annotations__", {}).items():
+                places.append(((field,), field_kind))
+                if field_kind is tuple:
+                    places.append(((field, 0), int))
+            values = {**HOSTILE_VALUES, **OUT_OF_RANGE.get((name, param), {})}
+            for place, place_kind in places:
+                where = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in place)
+                for label, value in values.items():
+                    refused = type(value) is not place_kind or place_kind is int
+                    cases.append(pytest.param(name, position, place, value, refused,
+                                              id=f"{name} {param}{where}={label}"))
+    return cases
+
+
+def with_value(record, place, value):
+    """The record with value at place: a field name, then an element index."""
+    if not place:
+        return value
+    head, rest = place[0], place[1:]
+    if type(record) is tuple:
+        return record[:head] + (with_value(record[head], rest, value),) + record[head + 1:]
+    fields_ = {f: getattr(record, f) for f in type(record).__annotations__}
+    fields_[head] = with_value(fields_[head], rest, value)
+    return type(record)(**fields_)
+
+
+@pytest.mark.parametrize("method, position, place, value, refused", hostile_cases())
+def test_ill_typed_arguments_raise_oracle_error(method, position, place, value, refused):
+    """Each call raises an OracleError and leaves the log as it was, or, for
+    a value that may apply, leaves a log that parse_log and replay reproduce.
+    Each case runs on its own copy of one setup."""
+    pristine, calls = well_typed_setup()
+    contract = copy.deepcopy(pristine)
+    args = list(calls[method])
+    args[position] = with_value(args[position], place, value)
     log = dump_log(contract)
-    with pytest.raises(OracleError):
-        call(contract, newcomer)
-    assert dump_log(contract) == log
+    try:
+        getattr(contract, method)(*args)
+    except OracleError:
+        assert dump_log(contract) == log
+        return
+    assert not refused, "applied"
+    text = dump_log(contract)
+    params, events = parse_log(text)
+    assert dump_log(replay(events, params)) == text
+
+
+def test_well_typed_calls_apply():
+    """So each hostile case differs from a call that applies in one place."""
+    pristine, calls = well_typed_setup()
+    assert calls.keys() == TYPED_METHODS.keys()
+    for method, args in calls.items():
+        getattr(copy.deepcopy(pristine), method)(*args)
+
+
+def test_every_public_method_with_a_parameter_is_typed():
+    """A new entry point cannot skip the argument rule unnoticed."""
+    public = {name: member for name, member in vars(Contract).items()
+              if callable(member) and not name.startswith("_")}
+    for name, member in public.items():
+        if len(inspect.signature(member).parameters) > 1:
+            assert hasattr(member, "__wrapped__"), name
+
+
+def test_payout_must_be_the_balance_even_when_it_proves_modulo_p():
+    """An account's fields hash modulo P, so an account whose balance is off
+    by P proves against the root; withdraw and replace must still pay out the
+    leaf's balance, and replay refuses an event that does not."""
+    contract = Contract(P4)
+    keys = fresh_keys(5)
+    register_all(contract, keys[:4])
+    contract.exit("owner-3", contract.account(3), contract.prove(3))
+    contract.set_time(contract.exit_time_of[3])
+    log = dump_log(contract)
+    for index, call in ((3, lambda a, pr: contract.withdraw("owner-3", a, pr)),
+                        (2, lambda a, pr: contract.replace("n", keys[4].pk, "ip", 101, 2,
+                                                           a, pr))):
+        account = contract.account(index)
+        for balance in (account.balance + P, account.balance - P):
+            with pytest.raises(OracleError):
+                call(replace(account, balance=balance), contract.prove(index))
+            assert dump_log(contract) == log
+    contract.withdraw("owner-3", contract.account(3), contract.prove(3))
+    params, events = parse_log(dump_log(contract).replace("amount=100", f"amount={100 + P}"))
+    with pytest.raises(CorruptLog):
+        replay(events, params)
 
 
 # -- replay and event log --------------------------------------------------------------------

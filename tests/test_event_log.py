@@ -134,6 +134,17 @@ REGISTER = f"0 Registered 0.0 index=0 ip=ip owner=o {PK} stake=100"
     pytest.param([REGISTER.replace("stake=100", "stake=-5")], id="negative-stake"),
     pytest.param([REGISTER, "1 BlockRequested 1.0 block_number=3 client=c fee=80 "
                             "request_id=4"], id="request-id-out-of-order"),
+    pytest.param([REGISTER, "1 BlockRequested 1.0 block_number=-1 client=c fee=80 "
+                            "request_id=0"], id="negative-block-number"),
+    pytest.param([REGISTER, f"1 BlockRequested 1.0 block_number={1 << 64} client=c "
+                            "fee=80 request_id=0"], id="block-number-at-2^64"),
+    pytest.param([REGISTER, "1 BlockRequested 1.0 block_number=3 client=c fee=79 "
+                            "request_id=0"], id="fee-below-the-request-fee"),
+    pytest.param([REGISTER, f"1 BlockRequested 1.0 block_number=3 client=c fee={1 << 128} "
+                            "request_id=0"], id="fee-at-2^128"),
+    pytest.param([REGISTER, "1 Exited 1.0 exit_time=9.0 index=0",
+                  "2 Withdrawn 9.0 amount=101 index=0 owner=o"],
+                 id="withdrawal-of-more-than-the-balance"),
     pytest.param([REGISTER, "1 AggregatorTimeout 1.0 index=2"],
                  id="timeout-of-non-aggregator"),
     pytest.param([REGISTER.replace(" 0.0 ", " nan ")], id="non-finite-time"),

@@ -91,8 +91,8 @@ def test_finality_boundaries():
     chain.advance(106)  # tip = 106
     node = make_node(0)
     assert node.answer(100, chain) == chain.block_at(100).hash % P != 0
-    assert node.answer(101, chain) == 0
-    assert node.answer(200, chain) == 0
+    assert node.answer(101, chain) is None
+    assert node.answer(200, chain) is None
 
 
 def test_finality_orphaned_fork():
@@ -106,7 +106,7 @@ def test_finality_orphaned_fork():
 
     node = make_node(0)
     assert node.answer(10, StubChain()) == 7
-    assert node.answer(9, StubChain()) == 0
+    assert node.answer(9, StubChain()) is None
 
 
 # -- validator behavior ----------------------------------------------------------------
@@ -119,18 +119,18 @@ def test_on_request_happy_path():
     assert nodes[1].answer(10, chain) == chain.block_at(10).hash
 
 
-def test_on_request_absent_block_votes_zero():
+def test_on_request_absent_block_abstains():
     contract, nodes = committee_with_contract()
     chain = MockChain(random.Random(4))
     chain.advance(20)
-    assert nodes[1].answer(999, chain) == 0
+    assert nodes[1].answer(999, chain) is None
 
 
-def test_on_request_unfinal_block_votes_zero():
+def test_on_request_unfinal_block_abstains():
     contract, nodes = committee_with_contract()
     chain = MockChain(random.Random(5))
     chain.advance(10)  # tip 10; block 5 has exactly 5 < 6 confirmations
-    assert nodes[1].answer(5, chain) == 0
+    assert nodes[1].answer(5, chain) is None
     chain.advance(1)
     assert nodes[1].answer(5, chain) == chain.block_at(5).hash
 

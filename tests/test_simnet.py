@@ -16,6 +16,7 @@ from zkoracle.cli import bundled_scenarios, main
 from zkoracle.contract import dump_events, dump_log
 from zkoracle.merkle import Account, dump_snapshot
 from zkoracle.mimc import mimc_hash
+from zkoracle.nodes import OracleNode
 from zkoracle.errors import ConfigError
 from zkoracle.simnet import (T_AGG, MessageBus, MockChain, ScenarioConfig,
                              run_scenario, verify_run)
@@ -214,6 +215,31 @@ def test_equivocate_and_duplicate_behaviors():
                                       adversaries={2: "duplicate_vote"}))
     assert run.metrics.safety_violations == 0
     assert sum(r.slashes for r in run.metrics.rows) == 0
+    assert verify_run(run) == []
+
+
+def test_a_lagging_view_abstains_and_is_not_slashed(monkeypatch):
+    """Node 3 sees the chain one block behind, so no requested block is
+    FINALITY deep in its view.  It signs nothing, the others answer, and it
+    keeps its stake; before abstaining it signed 0 and was slashed."""
+    real = OracleNode.answer
+
+    class OneBehind:
+        def __init__(self, chain):
+            self.chain, self.tip = chain, chain.tip - 1
+
+        def block_at(self, number):
+            return self.chain.block_at(number) if number <= self.tip else None
+
+    def answer(node, block_number, chain):
+        return real(node, block_number, OneBehind(chain) if node.index == 3 else chain)
+
+    monkeypatch.setattr(OracleNode, "answer", answer)
+    run = run_scenario(ScenarioConfig(depth=2, committee=4, rounds=3, seed=5))
+    m = run.metrics
+    assert [r.slashes for r in m.rows] == [0, 0, 0]
+    assert m.answered == 3 and m.safety_violations == 0
+    assert m.final_balances[3] == 100
     assert verify_run(run) == []
 
 
