@@ -1,8 +1,11 @@
 """Deterministic emulation of the on-chain oracle contract.
 
-The contract is event-sourced: a transaction validates its input and hands
-the event recording it to the one reducer, `Contract._apply`, and replay
-feeds logged events to the same reducer.  Before that, `_emit` refuses any
+The contract is event-sourced with one rule book: the reducer,
+`Contract._apply`, is the only place a contract rule is written.  An entry
+point checks only what a log line cannot carry (the caller's authority where
+the event names no owner, an account's Merkle proof), then hands the event
+and any circuit proof to the reducer; replay feeds logged events to it, so a
+live call and replay refuse the same events.  Before that, `_emit` refuses a
 payload value that the log could not write and read back as its field's
 type, so every event the contract emits parses back.  The tree part of every
 event is `apply_event_to_tree`, which off-chain nodes also sync with.
@@ -13,12 +16,10 @@ argument is an OracleError, never another exception.
 
 Proofs are checked by `circuits.verify` under the one backend id,
 `circuits.TRANSPARENT`, never the id a proof names, so a proof for another
-backend or circuit is an `InvalidProof`.
-
-The contract keeps a private hash tree (as the real contract does for the
-membership operations) but external state changes arriving via submit/slash
-are accepted only if the claimed post root matches the canonical update
-implied by the public inputs; that is what keeps the event log replayable.
+backend or circuit is an `InvalidProof`.  The reducer checks a proof after
+the event's own checks, so an event those refuse costs no re-execution, and
+accepts a submit or slash only if its post root is the canonical update of
+the contract's private tree: a log replays without its proofs.
 
 The aggregator rotates round robin: the first member at or after a cursor
 that moves past each submitting or timed-out aggregator.
@@ -202,8 +203,6 @@ class Contract:
 
     @_typed
     def register(self, caller: str, pubkey: Point, ip: str, stake: int) -> int:
-        if stake < self.params.min_stake:
-            raise InsufficientStake(f"stake {stake} below minimum {self.params.min_stake}")
         index = self._lowest_empty_index()
         if index is None:
             raise CommitteeFull("all leaves occupied; a newcomer must replace")
@@ -215,9 +214,6 @@ class Contract:
     def replace(self, caller: str, pubkey: Point, ip: str, stake: int,
                 target_index: int, target_account: Account, proof: MerkleProof) -> int:
         self._check_account_proof(target_index, target_account, proof)
-        if stake <= target_account.balance:
-            raise StakeTooLow(f"stake {stake} must exceed target balance "
-                              f"{target_account.balance}")
         self._emit(REPLACED, index=target_index, owner=caller, ip=ip,
                    pubkey_x=pubkey.x, pubkey_y=pubkey.y, stake=stake,
                    displaced_owner=self.owner_of.get(target_index, ""),
@@ -229,8 +225,6 @@ class Contract:
         index = account.index
         if self.owner_of.get(index) != caller:
             raise NotOwner(f"{caller} does not own index {index}")
-        if index in self.exit_time_of:
-            raise AlreadyExiting(f"index {index} already announced an exit")
         self._check_account_proof(index, account, proof)
         exit_time = self.now + self.params.exit_delay
         self._emit(EXITED, index=index, exit_time=exit_time)
@@ -238,24 +232,14 @@ class Contract:
 
     @_typed
     def withdraw(self, caller: str, account: Account, proof: MerkleProof) -> int:
-        index = account.index
-        if index not in self.exit_time_of:
-            raise NotExiting(f"index {index} never announced an exit")
-        if self.owner_of.get(index) != caller:
-            raise NotOwner(f"{caller} does not own index {index}")
-        if self.now < self.exit_time_of[index]:
-            raise ExitTimeNotReached(
-                f"now {self.now} before exit time {self.exit_time_of[index]}")
-        self._check_account_proof(index, account, proof)
-        self._emit(WITHDRAWN, index=index, owner=caller, amount=account.balance)
+        self._check_account_proof(account.index, account, proof)
+        self._emit(WITHDRAWN, index=account.index, owner=caller, amount=account.balance)
         return account.balance
 
     # -- request lifecycle -------------------------------------------------
 
     @_typed
     def request_block(self, client: str, block_number: int, fee: int) -> int:
-        if fee < self.params.request_fee:
-            raise FeeTooLow(f"fee {fee} below required {self.params.request_fee}")
         request_id = self.next_request_id
         self._emit(BLOCK_REQUESTED, request_id=request_id, block_number=block_number,
                    fee=fee, client=client)
@@ -267,18 +251,7 @@ class Contract:
         agg_index = self.get_aggregator()
         if self.owner_of.get(agg_index) != caller:
             raise NotAggregator(f"{caller} is not the current aggregator")
-        self._pending(request_id)
-        # the reducer repeats these checks; running them first spares a
-        # submission they refuse the proof's re-execution
-        self._check_submission(block_hash, validator_bits)
-        self._check_payload_size(AGGREGATION, proof)
-
-        public = AggregationPublic(self.state_root, post_state_root, block_hash,
-                                   request_id, validator_bits)
-        if not circuits.verify(TRANSPARENT, AGGREGATION, public, proof):
-            raise InvalidProof("aggregation proof rejected")
-
-        self._emit(BLOCK_SUBMITTED, request_id=request_id, agg_index=agg_index,
+        self._emit(BLOCK_SUBMITTED, proof, request_id=request_id, agg_index=agg_index,
                    block_hash=block_hash, validator_bits=validator_bits,
                    post_state_root=post_state_root)
 
@@ -291,22 +264,8 @@ class Contract:
         if self.owner_of.get(request.agg_index) != caller:
             raise NotAggregator(f"{caller} is not the aggregator that answered "
                                 f"request {request_id}")
-        self._check_payload_size(SLASH, proof)
-        public = SlashPublic(self.state_root, post_state_root, request.answer_hash,
-                             request_id, request.agg_index, val_index)
-        if not circuits.verify(TRANSPARENT, SLASH, public, proof):
-            raise InvalidProof("slash proof rejected")
-        self._emit(SLASHED, request_id=request_id, agg_index=request.agg_index,
+        self._emit(SLASHED, proof, request_id=request_id, agg_index=request.agg_index,
                    val_index=val_index, post_state_root=post_state_root)
-
-    def _check_payload_size(self, circuit_id: str, proof: Proof) -> None:
-        """Refuse, before the backend parses it, a payload that is not of
-        the length every payload of this circuit has at this depth."""
-        size = circuits.payload_size(circuit_id, self.params.depth)
-        if len(proof.payload) != size:
-            raise InvalidProof(f"{circuit_id} payload of {len(proof.payload)} bytes "
-                               f"at depth {self.params.depth}, where every one "
-                               f"has {size}")
 
     def timeout_aggregator(self) -> int:
         """Rotate past an unresponsive aggregator; driven by the network layer."""
@@ -316,9 +275,11 @@ class Contract:
 
     # -- the reducer -------------------------------------------------------
 
-    def _apply(self, event: Event) -> None:
-        """Fold one event into the state; the only writer of contract state
-        after __init__.  Every check runs before the first write and a
+    def _apply(self, event: Event, proof: Optional[Proof] = None) -> None:
+        """Fold one event into the state: the only writer of contract state
+        after __init__ and the only place a contract rule is written.  A live
+        call gives the proof that gates its event; replay gives none, as the
+        log holds none.  Every check runs before the first write and a
         proof-gated tree update is swapped in only once it reaches the
         event's post root, so an event that raises leaves the state as it was.
         """
@@ -326,47 +287,82 @@ class Contract:
         kind = event.kind
         params = self.params
         if kind in (REGISTERED, REPLACED):
-            if kind == REGISTERED and p["index"] in self.owner_of:
-                raise InvalidInput(f"index {p['index']} is already registered")
+            index = p["index"]
+            if kind == REGISTERED and index != self._lowest_empty_index():
+                raise InvalidInput(f"index {index} is not the lowest empty one")
+            if kind == REPLACED:
+                if self.owner_of.get(index) != p["displaced_owner"]:
+                    raise InvalidInput(f"index {index} is not a member owned by "
+                                       f"{p['displaced_owner']!r}")
+                # an account proof does not pin the balance paid out: its fields
+                # hash modulo P, so balance + P proves as well as balance
+                if p["returned"] != self._tree.account(index).balance:
+                    raise InvalidInput(f"index {index} returns {p['returned']}, not its balance")
+                if p["stake"] <= p["returned"]:
+                    raise StakeTooLow(f"stake {p['stake']} must exceed {p['returned']}")
+            if p["stake"] < params.min_stake:
+                raise InsufficientStake(f"stake {p['stake']} below {params.min_stake}")
+            if p["stake"] >= MAX_BALANCE:
+                raise InvalidInput(f"stake {p['stake']} not below 2^128")
             curve.require_on_curve(Point(p["pubkey_x"], p["pubkey_y"]))
-            if not 0 <= p["stake"] < MAX_BALANCE:
-                raise InvalidInput(f"stake {p['stake']} outside [0, 2^128)")
-            # an account proof does not pin the balance paid out: its fields
-            # hash modulo P, so balance + P proves as well as balance
-            if kind == REPLACED and p["returned"] != self._tree.account(p["index"]).balance:
-                raise InvalidInput(f"index {p['index']} returns {p['returned']}, "
-                                   "not its balance")
             apply_event_to_tree(self._tree, event)
-            self.owner_of[p["index"]] = p["owner"]
-            self.ip_of[p["index"]] = p["ip"]
-            self.exit_time_of.pop(p["index"], None)
+            self.owner_of[index] = p["owner"]
+            self.ip_of[index] = p["ip"]
+            self.exit_time_of.pop(index, None)
         elif kind == EXITED:
             self._require_member(p["index"])
+            if p["index"] in self.exit_time_of:
+                raise AlreadyExiting(f"index {p['index']} already announced an exit")
+            if p["exit_time"] != event.time + params.exit_delay:
+                raise InvalidInput(f"exit time {p['exit_time']} is not the delay after now")
             self.exit_time_of[p["index"]] = p["exit_time"]
         elif kind == WITHDRAWN:
-            self._require_member(p["index"])
-            if p["amount"] != self._tree.account(p["index"]).balance:
-                raise InvalidInput(f"index {p['index']} pays {p['amount']}, not its balance")
+            index = p["index"]
+            if index not in self.exit_time_of:
+                raise NotExiting(f"index {index} never announced an exit")
+            if self.owner_of.get(index) != p["owner"]:
+                raise NotOwner(f"{p['owner']} does not own index {index}")
+            if event.time < self.exit_time_of[index]:
+                raise ExitTimeNotReached(
+                    f"now {event.time} before exit time {self.exit_time_of[index]}")
+            if p["amount"] != self._tree.account(index).balance:
+                raise InvalidInput(f"index {index} pays {p['amount']}, not its balance")
             apply_event_to_tree(self._tree, event)
-            del self.owner_of[p["index"]]
-            del self.ip_of[p["index"]]
-            self.exit_time_of.pop(p["index"], None)
+            del self.owner_of[index]
+            del self.ip_of[index]
+            del self.exit_time_of[index]
         elif kind == BLOCK_REQUESTED:
             if p["request_id"] != self.next_request_id:
                 raise InvalidInput(f"request id {p['request_id']} out of order")
-            if not (0 <= p["block_number"] < 1 << 64
-                    and params.request_fee <= p["fee"] < MAX_BALANCE):
+            if p["fee"] < params.request_fee:
+                raise FeeTooLow(f"fee {p['fee']} below required {params.request_fee}")
+            if not (0 <= p["block_number"] < 1 << 64 and p["fee"] < MAX_BALANCE):
                 raise InvalidInput(f"block number {p['block_number']} outside [0, 2^64) "
-                                   f"or fee {p['fee']} outside [request fee, 2^128)")
+                                   f"or fee {p['fee']} not below 2^128")
             self.requests[p["request_id"]] = Request(
                 p["request_id"], p["block_number"], p["fee"], p["client"])
             self.next_request_id += 1
             self.escrow += p["fee"]
         elif kind == BLOCK_SUBMITTED:
-            request = self._pending(p["request_id"])
+            request = self.requests.get(p["request_id"])
+            if request is None or request.status != PENDING:
+                raise RequestNotPending(f"request {p['request_id']} is not pending")
             if p["agg_index"] != self.get_aggregator():
                 raise NotAggregator(f"index {p['agg_index']} is not the aggregator")
-            self._check_submission(p["block_hash"], p["validator_bits"])
+            if not 0 <= p["block_hash"] < P:
+                raise InvalidInput("block hash is not an int in [0, P)")
+            # the bits flag t registered members; bits at or above capacity are
+            # refused unscanned, so a million-bit value costs no quadratic scan
+            bits = p["validator_bits"]
+            voters = flagged_indices(bits & ((1 << params.capacity) - 1))
+            if bits < 0 or bits >> params.capacity \
+                    or len(voters) != params.threshold or not self.owner_of.keys() >= set(voters):
+                raise InvalidInput("validator bits must flag t registered members")
+            if self.escrow < params.request_fee:
+                raise InvalidInput("escrow cannot cover the submission rewards")
+            self._check_proof(proof, AGGREGATION, AggregationPublic(
+                self.state_root, p["post_state_root"], p["block_hash"], p["request_id"],
+                p["validator_bits"]))
             self._tree = self._updated_tree(event)
             request.status = ANSWERED
             request.answer_hash = p["block_hash"]
@@ -380,6 +376,9 @@ class Contract:
                 raise NotAggregator(f"index {p['agg_index']} did not answer the request")
             self._require_member(p["agg_index"])  # its leaf is credited
             self._require_member(p["val_index"])
+            self._check_proof(proof, SLASH, SlashPublic(
+                self.state_root, p["post_state_root"], request.answer_hash,
+                p["request_id"], p["agg_index"], p["val_index"]))
             self._tree = self._updated_tree(event)
             self.slashed.add((p["request_id"], p["val_index"]))
         elif kind == AGGREGATOR_TIMEOUT:
@@ -389,21 +388,17 @@ class Contract:
         self.now = event.time
         self.events.append(event)
 
-    def _check_submission(self, block_hash: int, validator_bits: int) -> None:
-        """The BLOCK_SUBMITTED checks that need no proof: the hash is a field
-        element, the bits flag t registered members, and the escrow covers the
-        rewards."""
-        params = self.params
-        if not 0 <= block_hash < P:
-            raise InvalidInput("block hash is not an int in [0, P)")
-        # bits at or above capacity are rejected without scanning them, so a
-        # hostile million-bit value costs no quadratic scan
-        voters = flagged_indices(validator_bits & ((1 << params.capacity) - 1))
-        if validator_bits < 0 or validator_bits >> params.capacity \
-                or len(voters) != params.threshold or not self.owner_of.keys() >= set(voters):
-            raise InvalidInput("validator bits must flag t registered members")
-        if self.escrow < params.request_fee:
-            raise InvalidInput("escrow cannot cover the submission rewards")
+    def _check_proof(self, proof: Optional[Proof], circuit_id: str, public) -> None:
+        """InvalidProof unless a given proof verifies for public; its payload
+        length is checked first, before the backend parses it."""
+        if proof is None:
+            return
+        size = circuits.payload_size(circuit_id, self.params.depth)
+        if len(proof.payload) != size:
+            raise InvalidProof(f"{circuit_id} payload of {len(proof.payload)} bytes, "
+                               f"where every one at depth {self.params.depth} has {size}")
+        if not circuits.verify(TRANSPARENT, circuit_id, public, proof):
+            raise InvalidProof(f"{circuit_id} proof rejected")
 
     def _updated_tree(self, event: Event) -> StateTree:
         """A copy of the tree with a proof-gated event applied; InvalidProof
@@ -416,21 +411,16 @@ class Contract:
 
     # -- internals ---------------------------------------------------------
 
-    def _emit(self, kind: str, **payload) -> None:
-        """Hand the reducer an event that the log writes and reads back: every
-        payload value must be of the type LOG_FIELDS gives its field."""
+    def _emit(self, kind: str, proof: Optional[Proof] = None, **payload) -> None:
+        """Hand the reducer an event that the log writes and reads back, with
+        the proof that gates it: every payload value must be of the type
+        LOG_FIELDS gives its field."""
         for key, field_type in LOG_FIELDS[kind].items():
             if not _reads_back(field_type, payload[key]):
                 # no value in the message: a too-long int cannot be printed
                 raise InvalidInput(f"{kind} {key} ({type(payload[key]).__name__}) would "
                                    f"not read back from the log as {field_type.__name__}")
-        self._apply(Event(len(self.events), self.now, kind, payload))
-
-    def _pending(self, request_id: int) -> Request:
-        request = self.requests.get(request_id)
-        if request is None or request.status != PENDING:
-            raise RequestNotPending(f"request {request_id} is not pending")
-        return request
+        self._apply(Event(len(self.events), self.now, kind, payload), proof)
 
     def _slashable(self, request_id: int, val_index: int) -> Request:
         request = self.requests.get(request_id)

@@ -104,7 +104,8 @@ def _exercise_membership(contract, time_warp: float) -> None:
 
     newcomer = eddsa.keygen(b"\xaa" * 32)
     target = contract.account(displaced)
-    contract.replace("late-joiner", newcomer.pk, "10.0.9.9", target.balance + 1,
+    contract.replace("late-joiner", newcomer.pk, "10.0.9.9",
+                     max(target.balance + 1, params.min_stake),
                      displaced, target, contract.prove(displaced))
     contract.register("refill", newcomer.pk, "10.0.9.8", params.min_stake)
 

@@ -135,6 +135,23 @@ def test_replace_clears_exit_state():
     assert 1 not in contract.exit_time_of
 
 
+def test_replace_keeps_the_stake_floor():
+    # index 3 is slashed to a balance of 0, so a stake of 1 exceeds it; the
+    # floor still holds, as at register
+    from zkoracle.simnet import ScenarioConfig, run_scenario
+    contract = run_scenario(ScenarioConfig(depth=2, committee=4, rounds=1, seed=1,
+                                           adversaries={3: "wrong_hash"})).contract
+    assert contract.account(3).balance == 0
+    pk = fresh_keys(1, salt=9)[0].pk
+    log = dump_log(contract)
+    with pytest.raises(InsufficientStake):
+        contract.replace("cheap", pk, "ip", 1, 3, contract.account(3), contract.prove(3))
+    assert dump_log(contract) == log
+    contract.replace("cheap", pk, "ip", contract.params.min_stake, 3, contract.account(3),
+                     contract.prove(3))
+    assert contract.owner_of[3] == "cheap"
+
+
 # -- exit / withdraw ---------------------------------------------------------------
 
 
@@ -520,6 +537,27 @@ def test_slash_twice_rejected():
     proof2 = prove("transparent", "slash", public2, witness2)
     with pytest.raises(AlreadySlashed):
         contract.slash("owner-0", 0, 3, public2.post_state_root, proof2)
+
+
+def test_slash_of_a_non_member_skips_verification(monkeypatch):
+    # index 3 holds no member, which the contract sees without the proof
+    contract = Contract(P4)
+    keys = fresh_keys(3)
+    register_all(contract, keys)
+    contract.request_block("client", 10, contract.params.request_fee)
+    answer_request(contract, keys, 0, block_hash=777)
+    public, witness = circuits.build_slash_witness(
+        contract.tree_snapshot(), 0, make_vote(keys[2].sk, 2, 0, 888), 0, 777)
+    proof = prove("transparent", "slash", public, witness)
+    verify_calls = []
+    verify = circuits.TransparentBackend.verify
+    monkeypatch.setattr(circuits.TransparentBackend, "verify",
+                        lambda *args: verify_calls.append(args[1]) or verify(*args))
+    log = dump_log(contract)
+    with pytest.raises(InvalidInput):
+        contract.slash("owner-0", 0, 3, public.post_state_root, proof)
+    assert verify_calls == []
+    assert dump_log(contract) == log
 
 
 def test_slash_conserves_total():

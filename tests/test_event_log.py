@@ -114,6 +114,9 @@ def test_values_of_another_type_rejected_at_entry():
 PK = f"pubkey_x={KEY.pk.x} pubkey_y={KEY.pk.y}"
 HEADER = dump_log(Contract(P4)).splitlines()[0]
 REGISTER = f"0 Registered 0.0 index=0 ip=ip owner=o {PK} stake=100"
+EXIT_TIME = 1.0 + Params.exit_delay
+EXITED = f"1 Exited 1.0 exit_time={EXIT_TIME} index=0"  # an honest exit of REGISTER's member
+DIGITS_5001 = "1" + "0" * 5000  # 10**5000, which str() refuses under the default limit
 
 
 @pytest.mark.parametrize("lines", [
@@ -142,14 +145,40 @@ REGISTER = f"0 Registered 0.0 index=0 ip=ip owner=o {PK} stake=100"
                             "request_id=0"], id="fee-below-the-request-fee"),
     pytest.param([REGISTER, f"1 BlockRequested 1.0 block_number=3 client=c fee={1 << 128} "
                             "request_id=0"], id="fee-at-2^128"),
-    pytest.param([REGISTER, "1 Exited 1.0 exit_time=9.0 index=0",
-                  "2 Withdrawn 9.0 amount=101 index=0 owner=o"],
+    pytest.param([REGISTER, EXITED, f"2 Withdrawn {EXIT_TIME} amount=101 index=0 owner=o"],
                  id="withdrawal-of-more-than-the-balance"),
     pytest.param([REGISTER, "1 AggregatorTimeout 1.0 index=2"],
                  id="timeout-of-non-aggregator"),
     pytest.param([REGISTER.replace(" 0.0 ", " nan ")], id="non-finite-time"),
     pytest.param([REGISTER, "1" + REGISTER[1:].replace("owner=o", "owner=b")],
                  id="duplicate-registration"),
+    # every record below is one the live contract cannot emit
+    pytest.param([REGISTER, "1 Withdrawn 1.0 amount=100 index=0 owner=o"],
+                 id="withdrawal-without-exit"),
+    pytest.param([REGISTER, EXITED, "2 Withdrawn 2.0 amount=100 index=0 owner=o"],
+                 id="withdrawal-before-the-exit-time"),
+    pytest.param([REGISTER, EXITED, f"2 Withdrawn {EXIT_TIME} amount=100 index=0 owner=b"],
+                 id="withdrawal-by-a-non-owner"),
+    pytest.param([REGISTER, EXITED, "2 Exited 2.0 exit_time=604802.0 index=0"],
+                 id="second-exit"),
+    pytest.param([REGISTER, "1 Exited 1.0 exit_time=9.0 index=0"],
+                 id="exit-time-not-the-delay-after-the-event"),
+    pytest.param([REGISTER.replace("stake=100", "stake=5")], id="stake-below-the-floor"),
+    pytest.param([REGISTER.replace("index=0", "index=3")], id="registration-above-an-empty-slot"),
+    pytest.param([REGISTER, f"1 Replaced 1.0 displaced_owner=o index=0 ip=ip owner=b {PK} "
+                            "returned=100 stake=100"], id="replacement-stake-not-above-returned"),
+    pytest.param([REGISTER, f"1 Replaced 1.0 displaced_owner=x index=0 ip=ip owner=b {PK} "
+                            "returned=100 stake=200"], id="replacement-of-a-forged-owner"),
+    pytest.param([REGISTER, f"1 Replaced 1.0 displaced_owner= index=1 ip=ip owner=b {PK} "
+                            "returned=0 stake=200"], id="replacement-of-an-empty-slot"),
+    # with the int digit limit off these parse, and the reducer's ranges refuse them
+    pytest.param([REGISTER.replace("stake=100", f"stake={DIGITS_5001}")],
+                 id="stake-of-5001-digits"),
+    pytest.param([REGISTER, f"1 BlockRequested 1.0 block_number=3 client=c fee={DIGITS_5001} "
+                            "request_id=0"], id="fee-of-5001-digits"),
+    pytest.param([REGISTER, EXITED,
+                  f"2 Withdrawn {EXIT_TIME} amount={DIGITS_5001} index=0 owner=o"],
+                 id="withdrawal-of-5001-digits"),
 ])
 def test_hostile_log_fails_with_corrupt_log(lines):
     with pytest.raises(CorruptLog):
